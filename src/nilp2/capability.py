@@ -75,20 +75,39 @@ def jacobi_vector(group: GroupPresentation, x: int, y: int, z: int) -> np.ndarra
 
 @dataclass(frozen=True)
 class JacobiSubspace:
-    """Relation subspace of the flattened tensor space plus its generators."""
+    """Relation subspace of the flattened tensor space plus its generators.
+
+    ``vectors`` holds one generating vector per triple, in the order of
+    ``triples``.
+    """
 
     space: Subspace
-    generators: tuple
+    triples: tuple
+    vectors: np.ndarray
+
+    @property
+    def generators(self) -> tuple:
+        """(triple, vector) pairs with the vectors as tuples of ints."""
+        return tuple(
+            (triple, tuple(int(x) for x in vec)) for triple, vec in zip(self.triples, self.vectors)
+        )
 
 
 def jacobi_subspace(group: GroupPresentation) -> JacobiSubspace:
-    triples = list(itertools.combinations(range(1, group.n + 1), 3))
-    vectors = [jacobi_vector(group, i, j, k) for (i, j, k) in triples]
-    space = Subspace(group.p, group.m * group.n, vectors)
-    generators = tuple(
-        (triple, tuple(int(x) for x in vec)) for triple, vec in zip(triples, vectors)
-    )
-    return JacobiSubspace(space, generators)
+    n, m = group.n, group.m
+    triples = tuple(itertools.combinations(range(1, n + 1), 3))
+    kap = group.kappa_table()
+    out = np.zeros((len(triples), m, n), dtype=np.int64)
+    if triples:
+        rows = np.arange(len(triples))
+        x, y, z = (np.array(t) - 1 for t in zip(*triples))
+        # The same three terms as jacobi_vector; within one row the three
+        # target columns differ, so no scatter index repeats.
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            out[rows, :, c] += kap[a, b]
+    vectors = np.mod(out.reshape(len(triples), m * n), group.p)
+    vectors.flags.writeable = False
+    return JacobiSubspace(Subspace(group.p, m * n, vectors), triples, vectors)
 
 
 def epicentre_in_derived(group: GroupPresentation) -> Subspace:

@@ -23,6 +23,7 @@ from .capability import (
     rp_membership,
 )
 from .errors import Nilp2Error, TrivialInput
+from .fplinalg import Subspace
 from .group_core import (
     DEFAULT_ORDER_CAP,
     GeneratorMap,
@@ -74,6 +75,11 @@ def _monic(vec, p: int) -> tuple:
             inv = pow(x, -1, p)
             return tuple((inv * y) % p for y in vals)
     raise Nilp2Error("cannot normalize the zero vector")
+
+
+def _image_line(hom: GeneratorMap, vec: tuple, p: int) -> tuple:
+    """Monic image of the derived vector vec under hom."""
+    return _monic(np.mod(hom.commutator_matrix @ np.array(vec, dtype=np.int64), p), p)
 
 
 def _least_nonzero_commutator(group: GroupPresentation) -> tuple:
@@ -159,10 +165,7 @@ def build_capable_extension(
     am = amalgamated_coproduct(base, free2, ident)
     trail.append("amalgamate_rank2_free")
     embedding = into_base.then(am.embed_left)
-    identified = _monic(
-        np.mod(am.embed_left.commutator_matrix @ np.array(glued, dtype=np.int64), group.p),
-        group.p,
-    )
+    identified = _image_line(am.embed_left, glued, group.p)
     return _finish_report("capable", branch, trail, group, am.group, embedding, identified, cap)
 
 
@@ -197,20 +200,14 @@ def build_noncapable_extension(
     cp = central_product_identified(base, free2, Identification(base, free2, (glued,), ((1,),)))
     trail.append("central_product_rank2_free")
     into_mid = into_base.then(cp.embed_left)
-    glued_mid = _monic(
-        np.mod(cp.embed_left.commutator_matrix @ np.array(glued, dtype=np.int64), group.p),
-        group.p,
-    )
+    glued_mid = _image_line(cp.embed_left, glued, group.p)
     wide = extraspecial_p5(group.p)
     am = amalgamated_coproduct(
         cp.group, wide, Identification(cp.group, wide, (glued_mid,), ((1,),))
     )
     trail.append("amalgamate_extraspecial_p5")
     embedding = into_mid.then(am.embed_left)
-    identified = _monic(
-        np.mod(am.embed_left.commutator_matrix @ np.array(glued_mid, dtype=np.int64), group.p),
-        group.p,
-    )
+    identified = _image_line(am.embed_left, glued_mid, group.p)
     return _finish_report("noncapable", branch, trail, group, am.group, embedding, identified, cap)
 
 
@@ -235,17 +232,8 @@ def verify_extension(report: ExtensionReport, cap: int = DEFAULT_ORDER_CAP) -> V
             ok, detail = False, f"error: {exc}"
         checks.append((name, bool(ok), detail))
 
-    def check_input_valid():
-        rebuilt = GroupPresentation(
-            report.input_group.p, report.input_group.n, report.input_group.m, report.input_group.c
-        )
-        return rebuilt == report.input_group, ""
-
-    def check_output_valid():
-        rebuilt = GroupPresentation(
-            report.output_group.p, report.output_group.n, report.output_group.m, report.output_group.c
-        )
-        return rebuilt == report.output_group, ""
+    def check_valid(group):
+        return GroupPresentation(group.p, group.n, group.m, group.c) == group, ""
 
     def check_endpoints():
         ok = (
@@ -265,8 +253,12 @@ def verify_extension(report: ExtensionReport, cap: int = DEFAULT_ORDER_CAP) -> V
             return False, f"injectivity status {mono.status}"
         return report.embedding_mono, ""
 
+    # The output's epicentre, once computed by check_capability.
+    evidence = {}
+
     def check_capability():
         fresh = capability_verdict(report.output_group, cap)
+        evidence.update(fresh.evidence)
         expected = CAPABLE if report.mode == "capable" else NOT_CAPABLE
         ok = (
             fresh.status == report.capability.status == expected
@@ -285,7 +277,10 @@ def verify_extension(report: ExtensionReport, cap: int = DEFAULT_ORDER_CAP) -> V
     def check_identified():
         if report.mode != "noncapable":
             return True, "not applicable"
-        epi = epicentre_in_derived(report.output_group)
+        if "epicentre_basis" in evidence:
+            epi = Subspace(report.output_group.p, report.output_group.m, evidence["epicentre_basis"])
+        else:
+            epi = epicentre_in_derived(report.output_group)
         return epi.contains_vector(report.identified_vector), ""
 
     def check_bounds():
@@ -298,8 +293,8 @@ def verify_extension(report: ExtensionReport, cap: int = DEFAULT_ORDER_CAP) -> V
         ok = report.bound_ok == (report.output_group.n <= report.input_group.n + claimed)
         return ok and report.bound_ok, ""
 
-    run("input_valid", check_input_valid)
-    run("output_valid", check_output_valid)
+    run("input_valid", lambda: check_valid(report.input_group))
+    run("output_valid", lambda: check_valid(report.output_group))
     run("embedding_endpoints", check_endpoints)
     run("embedding_mono", check_embedding)
     run("capability_matches", check_capability)

@@ -1,10 +1,28 @@
 """Exact linear algebra over a prime field F_p.
 
-Everything is integer arithmetic on residues in [0, p); there is no
-floating point anywhere.  Matrices are dense numpy int64 arrays kept
+Matrices are dense numpy int64 arrays of residues in [0, p), kept
 read-only after construction.  Subspaces are stored by their reduced row
 echelon basis, so two subspaces are equal exactly when their basis arrays
 are entry-identical.
+
+One elimination kernel, ``rref``, serves every caller.  Inputs of at most
+64 rows are reduced pivot by pivot, each step touching only the rows that
+are nonzero in the pivot column and the columns from the pivot on; the
+updated rows are reduced mod p once at the end, as long as no entry can
+reach 2^63 on the way.  Taller inputs are reduced in blocks of 64 rows
+against the reduced echelon basis found so far (at most ``cols`` rows):
+each block costs two matrix products mod p, one reducing the block by the
+basis and one clearing the block's new pivot columns from the basis.  The
+elimination stops as soon as the rank reaches ``cols``; every later row
+is then in the span.
+
+The products run in float64 BLAS only while every dot product is an
+integer below 2^53, i.e. while inner * (p - 1)^2 < 2^53, so they stay
+exact (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 35(3), 2008).
+Otherwise they run in int64, in slices of the inner dimension short
+enough that no partial sum reaches 2^63.  Residues must satisfy
+(p - 1)^2 < 2^63.  The reduced echelon form is unique, so the blocked and
+the per-pivot path return identical arrays.
 """
 
 from __future__ import annotations
@@ -52,18 +70,75 @@ def check_odd_prime(p) -> int:
 
 def _as_array(data, p: int, width=None) -> np.ndarray:
     """Coerce row data to a 2-d int64 residue array."""
-    rows = [tuple(int(x) for x in row) for row in data]
-    if rows:
-        cols = {len(r) for r in rows}
-        if len(cols) != 1:
-            raise AmbientMismatch("rows have unequal lengths")
-        (w,) = cols
-        if width is not None and w != width:
-            raise AmbientMismatch(f"expected rows of length {width}, got {w}")
-        a = np.array(rows, dtype=np.int64)
+    if isinstance(data, np.ndarray) and data.ndim == 2:
+        a = data.astype(np.int64, copy=False)
     else:
-        a = np.zeros((0, 0 if width is None else width), dtype=np.int64)
+        rows = [tuple(int(x) for x in row) for row in data]
+        if len({len(r) for r in rows}) > 1:
+            raise AmbientMismatch("rows have unequal lengths")
+        a = np.array(rows, dtype=np.int64) if rows else np.zeros((0, 0), dtype=np.int64)
+    if a.shape[0] == 0:
+        return np.zeros((0, 0 if width is None else width), dtype=np.int64)
+    if width is not None and a.shape[1] != width:
+        raise AmbientMismatch(f"expected rows of length {width}, got {a.shape[1]}")
     return np.mod(a, p)
+
+
+# Rows per block of the blocked elimination; shorter inputs skip blocking.
+_BLOCK = 64
+
+
+def _sub_product(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(c - a @ b) mod p, exactly, for residue matrices."""
+    inner = a.shape[1]
+    if inner * (p - 1) ** 2 < 2**53:
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+        return np.mod(c - prod.astype(np.int64), p)
+    step = max(1, (2**63 - p) // (p - 1) ** 2)
+    for k in range(0, inner, step):
+        c = np.mod(c - a[:, k : k + step] @ b[k : k + step], p)
+    return c
+
+
+def _eliminate(r: np.ndarray, p: int) -> list:
+    """Reduce the residue matrix r to reduced row echelon form in place,
+    pivot by pivot; returns the pivot columns."""
+    rows, cols = r.shape
+    pivots = []
+    row = col = 0
+    while row < rows and col < cols:
+        column = r[:, col] % p
+        hits = column[row:].nonzero()[0]
+        if hits.size == 0:
+            live = (r[row:, col:] % p).any(axis=0).nonzero()[0]
+            if live.size == 0:
+                break
+            col += int(live[0])
+            column = r[:, col] % p
+            hits = column[row:].nonzero()[0]
+        lead = row + int(hits[0])
+        if lead != row:
+            r[[row, lead]] = r[[lead, row]]
+            column[[row, lead]] = column[[lead, row]]
+        inv = pow(int(column[row]), -1, p)
+        r[row, col:] = r[row, col:] % p * inv % p
+        column[row] = 0
+        others = column.nonzero()[0]
+        if others.size:
+            # A plain slice is cheaper than gathering every other row.
+            if others.size == rows - 1:
+                others = slice(None)
+            r[others, col:] -= column[others, None] * r[row, col:]
+            # Updated rows are reduced only at the end while no entry can
+            # reach 2^63: each takes one update below (p - 1)^2 per pivot.
+            if min(rows, cols) * (p - 1) ** 2 + p >= 2**63:
+                r[others, col:] %= p
+        pivots.append(col)
+        row += 1
+        col += 1
+    if pivots:
+        np.mod(r, p, out=r)
+    return pivots
 
 
 def rref(a: np.ndarray, p: int):
@@ -76,26 +151,41 @@ def rref(a: np.ndarray, p: int):
     if r.ndim != 2:
         raise AmbientMismatch("matrix data must be two-dimensional")
     rows, cols = r.shape
+    if rows <= _BLOCK:
+        return r, _eliminate(r, p)
+    basis = r[:0].copy()
     pivots = []
-    row = 0
-    for col in range(cols):
-        if row == rows:
-            break
-        hits = np.nonzero(r[row:, col])[0]
-        if hits.size == 0:
+    for start in range(0, rows, _BLOCK):
+        block = r[start : start + _BLOCK]
+        if pivots:
+            block = _sub_product(block, block[:, pivots], basis, p)
+        new = _eliminate(block, p)
+        if not new:
             continue
-        lead = row + int(hits[0])
-        if lead != row:
-            r[[row, lead]] = r[[lead, row]]
-        inv = pow(int(r[row, col]), -1, p)
-        r[row] = np.mod(r[row] * inv, p)
-        other = r[:, col].copy()
-        other[row] = 0
-        if np.any(other):
-            r = np.mod(r - np.outer(other, r[row]), p)
-        pivots.append(col)
-        row += 1
+        fresh = block[: len(new)]
+        if pivots:
+            basis = _sub_product(basis, basis[:, new], fresh, p)
+        pivots += new
+        order = np.argsort(pivots)
+        basis = np.concatenate([basis, fresh])[order]
+        pivots = [pivots[i] for i in order]
+        if len(pivots) == cols:
+            break
+    r[: len(pivots)] = basis
+    r[len(pivots) :] = 0
     return r, pivots
+
+
+def _null_rows(r: np.ndarray, pivots, cols: int, p: int) -> np.ndarray:
+    """Rows e_f - sum_i r[i, f] e_{pivots[i]}, one per non-pivot column f:
+    a basis of the right null space of the echelon rows r."""
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
+    out = np.zeros((len(free), cols), dtype=np.int64)
+    if free:
+        out[np.arange(len(free)), free] = 1
+        out[:, list(pivots)] = np.mod(-r[: len(pivots)][:, free].T, p)
+    return out
 
 
 def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
@@ -105,16 +195,9 @@ def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
         raise AmbientMismatch("matrix data must be two-dimensional")
     cols = a.shape[1]
     r, pivots = rref(a, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    if not free:
+    if len(pivots) == cols:
         return np.zeros((0, cols), dtype=np.int64)
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(r[i, f])) % p
-    out, _ = rref(basis, p)
+    out, _ = rref(_null_rows(r, pivots, cols, p), p)
     return out
 
 
@@ -285,14 +368,7 @@ class Subspace:
         as the set of non-pivot coordinates of the echelon basis, which
         makes the projection deterministic.
         """
-        pivot_set = set(self.pivots)
-        free = [c for c in range(self.ambient) if c not in pivot_set]
-        q = np.zeros((len(free), self.ambient), dtype=np.int64)
-        for a, f in enumerate(free):
-            q[a, f] = 1
-            for r, pc in enumerate(self.pivots):
-                q[a, pc] = (-int(self.basis[r, f])) % self.p
-        return q
+        return _null_rows(self.basis, self.pivots, self.ambient, self.p)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)

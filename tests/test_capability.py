@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nilp2.capability import (
     capability_verdict,
@@ -15,9 +16,9 @@ from nilp2.capability import (
     rp_membership,
 )
 from nilp2.constructions import build_capable_extension, extraspecial_p5, heisenberg
-from nilp2.errors import PreconditionCenterNotDerived
-from nilp2.fplinalg import Subspace
-from nilp2.group_core import center, cyclic, elementary_abelian
+from nilp2.errors import PreconditionCenterNotDerived, SpanDeficit
+from nilp2.fplinalg import Subspace, rref
+from nilp2.group_core import GroupPresentation, center, cyclic, elementary_abelian
 from nilp2.products import Identification, amalgamated_coproduct, central_product_identified
 from nilp2.selfcheck import (
     center_line_identification,
@@ -49,6 +50,14 @@ def test_jacobi_extraspecial_is_full():
         (2, 3, 4): (0, 2, 0, 0),
     }
     assert dict(js.generators) == expected
+
+
+def test_jacobi_rows_are_the_relation_vectors():
+    g = random_presentation(random.Random(5), 5, max_n=6)
+    js = jacobi_subspace(g)
+    assert len(js.generators) == len(list(itertools.combinations(range(g.n), 3)))
+    for triple, vec in js.generators:
+        assert vec == tuple(int(x) for x in jacobi_vector(g, *triple))
 
 
 def test_jacobi_vanishes_on_repeats():
@@ -110,6 +119,54 @@ def test_amalgam_of_extraspecials_not_capable():
     epi = epicentre_in_derived(res.group)
     assert epi.dim == 1
     assert epi == res.embed_left.push_derived([(1,)])
+
+
+# -- invariance under a change of generators --------------------------------------
+
+
+def _random_center_equals_derived(rng, p, n, m):
+    """A random presentation with Z(G) = G', or None after 50 draws."""
+    pairs = [(j, i) for j in range(2, n + 1) for i in range(1, j)]
+    for _ in range(50):
+        c = {pair: tuple(rng.randrange(p) for _ in range(m)) for pair in pairs}
+        try:
+            g = GroupPresentation(p, n, m, c)
+        except SpanDeficit:
+            continue
+        if center(g).center_equals_derived:
+            return g
+    return None
+
+
+def _random_invertible(rng, p, n):
+    while True:
+        a = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        if len(rref(a, p)[1]) == n:
+            return a
+
+
+def rebase(group, a):
+    """The same group on the generators y_k = sum_i a[i, k] x_i:
+    c'(j, i) = kappa(a e_j, a e_i)."""
+    c = np.einsum("aj,bi,abt->jit", a, a, group.kappa_table()) % group.p
+    pairs = [(j, i) for j in range(2, group.n + 1) for i in range(1, j)]
+    return GroupPresentation(
+        group.p, group.n, group.m, {(j, i): tuple(int(x) for x in c[j - 1, i - 1]) for j, i in pairs}
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8), p=st.sampled_from([3, 5]), data=st.data())
+def test_epicentre_and_verdict_invariant_under_change_of_generators(seed, n, p, data):
+    # Derived dimensions up to 2n give a mix of capable and non-capable groups.
+    m = data.draw(st.integers(1, min(n * (n - 1) // 2, 2 * n)), label="m")
+    rng = random.Random(seed)
+    g = _random_center_equals_derived(rng, p, n, m)
+    assume(g is not None)
+    h = rebase(g, _random_invertible(rng, p, n))
+    assert center(h).center_equals_derived
+    assert epicentre_in_derived(h).dim == epicentre_in_derived(g).dim
+    assert capability_verdict(h).status == capability_verdict(g).status
 
 
 # -- named criteria -------------------------------------------------------------------

@@ -188,3 +188,30 @@ def test_full_battery_bounds_and_centers():
         assert center(non_rep.output_group).center_equals_derived
         assert cap_rep.capability.status == "capable"
         assert non_rep.capability.status == "not_capable"
+
+
+def test_verify_detects_vector_outside_epicentre():
+    rep = build_noncapable_extension(heisenberg(3))
+    epi = epicentre_in_derived(rep.output_group)
+    m = rep.output_group.m
+    units = [tuple(int(t == s) for t in range(m)) for s in range(m)]
+    outside = next(v for v in units if not epi.contains_vector(v))
+    outcome = verify_extension(dataclasses.replace(rep, identified_vector=outside))
+    failing = {name for name, ok, _ in outcome.checks if not ok}
+    assert failing == {"identified_in_epicentre"}
+
+
+def test_verify_computes_the_epicentre_once(monkeypatch):
+    from nilp2 import capability, constructions
+
+    rep = build_noncapable_extension(heisenberg(3))
+    calls = []
+
+    def counting(group):
+        calls.append(group)
+        return epicentre_in_derived(group)
+
+    monkeypatch.setattr(capability, "epicentre_in_derived", counting)
+    monkeypatch.setattr(constructions, "epicentre_in_derived", counting)
+    assert verify_extension(rep).passed
+    assert calls == [rep.output_group]

@@ -179,3 +179,120 @@ def test_all_subspaces_counts():
     assert sum(1 for _ in all_subspaces(3, 4)) == 212
     dims = [s.dim for s in all_subspaces(3, 2)]
     assert dims.count(1) == 4
+
+
+# -- rref and kernel_basis against a plain reference elimination -------------
+
+BIG_PRIME = 2**31 - 1  # products of two residues overflow float64 exactness
+
+
+def reference_rref(a, p):
+    """Textbook Gauss-Jordan on Python ints: (rows, pivots)."""
+    m = [[int(x) % p for x in row] for row in a]
+    cols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        lead = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if lead is None:
+            continue
+        m[r], m[lead] = m[lead], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def reference_kernel(a, p, cols):
+    m, pivots = reference_rref(a, p)
+    free = [c for c in range(cols) if c not in pivots]
+    vectors = []
+    for f in free:
+        v = [0] * cols
+        v[f] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i][f] % p
+        vectors.append(v)
+    return reference_rref(vectors, p)[0]
+
+
+def _random_matrix(rng, p, rows, cols, rank=None, density=1.0):
+    """Random residue matrix; with rank set, every row is a combination of
+    that many random rows."""
+    if rank is None:
+        a = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    else:
+        gens = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+        a = []
+        for _ in range(rows):
+            coeffs = [rng.randrange(p) for _ in range(rank)]
+            a.append([sum(c * g[k] for c, g in zip(coeffs, gens)) % p for k in range(cols)])
+    return np.array(a, dtype=np.int64).reshape(rows, cols)
+
+
+def _late_pivots(rng, p, cols, rank):
+    """150 rows of the given rank, then fresh rows: the middle blocks
+    reduce to zero and the last block still brings new pivots."""
+    early = _random_matrix(rng, p, 150, cols, rank=rank)
+    fresh = _random_matrix(rng, p, 20, cols)
+    return np.concatenate([early, fresh])
+
+
+SHAPES = [
+    ("empty", lambda rng, p: _random_matrix(rng, p, 0, 6)),
+    ("one_row", lambda rng, p: _random_matrix(rng, p, 1, 9)),
+    ("one_row_leading_zeros", lambda rng, p: np.array([[0, 0, 0, 2, 1, 0, 1]], dtype=np.int64)),
+    ("rows_63", lambda rng, p: _random_matrix(rng, p, 63, 40)),
+    ("rows_64", lambda rng, p: _random_matrix(rng, p, 64, 80)),
+    ("rows_65", lambda rng, p: _random_matrix(rng, p, 65, 40)),
+    ("rows_65_sparse", lambda rng, p: _random_matrix(rng, p, 65, 70, density=0.08)),
+    ("tall_low_rank", lambda rng, p: _random_matrix(rng, p, 210, 30, rank=7)),
+    ("tall_full_rank_early", lambda rng, p: _random_matrix(rng, p, 230, 12)),
+    ("wide_full_row_rank", lambda rng, p: _random_matrix(rng, p, 100, 110)),
+    ("zero_blocks_then_pivots", lambda rng, p: _late_pivots(rng, p, 25, rank=1)),
+    ("last_pivot_late", lambda rng, p: _late_pivots(rng, p, 25, rank=24)),
+]
+
+
+def _is_zero_mod(product, p):
+    return all(int(x) % p == 0 for x in np.asarray(product).ravel())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, BIG_PRIME])
+@pytest.mark.parametrize("shape", [name for name, _ in SHAPES])
+def test_rref_and_kernel_match_reference(p, shape):
+    from nilp2.fplinalg import kernel_basis, rref
+
+    rng = random.Random(f"{shape}-{p}")
+    a = dict(SHAPES)[shape](rng, p)
+    rows, cols = a.shape
+    r, pivots = rref(a, p)
+    ref, ref_pivots = reference_rref(a.tolist(), p)
+    assert pivots == ref_pivots
+    assert r.shape == (rows, cols)
+    assert r.tolist() == ref
+    # a shifted copy reduces to the same form
+    r2, _ = rref(a + 5 * p, p)
+    assert np.array_equal(r2, r)
+
+    k = kernel_basis(a, p)
+    assert k.shape == (cols - len(pivots), cols)
+    assert k.tolist() == reference_kernel(a.tolist(), p, cols)
+    product = np.array(a, dtype=object) @ np.array(k, dtype=object).T
+    assert _is_zero_mod(product, p)
+    assert len(pivots) + k.shape[0] == cols
+
+
+def test_rref_leaves_input_untouched():
+    from nilp2.fplinalg import rref
+
+    rng = random.Random(3)
+    for rows in (5, 150):
+        a = _random_matrix(rng, 7, rows, 20)
+        before = a.copy()
+        rref(a, 7)
+        assert np.array_equal(a, before)
