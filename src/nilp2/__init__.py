@@ -13,7 +13,6 @@ from .capability import (
     RpVerdict,
     capability_verdict,
     central_decomposition_search,
-    ellis_basis_criterion,
     epicentre_cross_check,
     epicentre_in_derived,
     jacobi_subspace,
@@ -27,7 +26,7 @@ from .constructions import (
     verify_extension,
 )
 from .errors import Nilp2Error
-from .fplinalg import FpMatrix, Subspace, echelonize, kernel, quotient_map, solve
+from .fplinalg import Subspace, kernel_basis, rref, solve_matrix
 from .group_core import (
     GeneratorMap,
     GroupElement,

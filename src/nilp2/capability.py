@@ -1,4 +1,4 @@
-"""Capability verdicts, the epicentre of groups with Z(G) = [G, G], the
+"""Capability verdicts, the epicentre of nonabelian groups, the
 restricted-class membership test, and the brute-force search oracles.
 
 The epicentre computation works in the tensor space F_p^m (x) F_p^n,
@@ -11,10 +11,15 @@ the relation subspace are
 
 and an element g of the derived space is in the epicentre exactly when
 g (x) e_i lies in that subspace for every generator index i.  The
-criterion applies only when the center coincides with the derived
-subgroup; other nonabelian inputs are decided by the sufficient
-independent-commutators check or by a central-decomposition search, and
-are otherwise reported as undetermined.
+criterion holds when the center coincides with the derived subgroup.
+
+Every other nonabelian group is G = H x C_p^r, where r is the dimension of
+the radical R of kappa and H is generated by the generators at the
+non-pivot columns of R's echelon basis; then Z(H) = [H, H] = [G, G] in
+the same derived coordinates.  The exterior square of a direct product
+splits (Brown, Johnson and Robertson, J. Algebra 111, 1987) and the
+exterior centre is the epicentre (Ellis, J. London Math. Soc. 51, 1995),
+so Z*(G) = Z*(H) x 1, and the criterion applied to H decides G.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ __all__ = [
     "RpVerdict",
     "capability_verdict",
     "central_decomposition_search",
-    "ellis_basis_criterion",
     "epicentre_cross_check",
     "epicentre_in_derived",
     "jacobi_subspace",
@@ -56,7 +60,6 @@ __all__ = [
 
 CAPABLE = "capable"
 NOT_CAPABLE = "not_capable"
-UNDETERMINED = "undetermined"
 
 
 def jacobi_vector(group: GroupPresentation, x: int, y: int, z: int) -> np.ndarray:
@@ -110,17 +113,32 @@ def jacobi_subspace(group: GroupPresentation) -> JacobiSubspace:
     return JacobiSubspace(Subspace(group.p, m * n, vectors), triples, vectors)
 
 
+def _radical_complement(group: GroupPresentation, radical: Subspace) -> GroupPresentation:
+    """The factor H of G = H x C_p^r: generated by the generators at the
+    radical's non-pivot columns f_1 < f_2 < ..., with
+    c'(b, a) = kappa(e_{f_b}, e_{f_a}) and G's derived coordinates."""
+    pivots = set(radical.pivots)
+    free = [f for f in range(group.n) if f not in pivots]
+    kap = group.kappa_table()
+    c = {(b + 1, a + 1): kap[fb, fa] for b, fb in enumerate(free) for a, fa in enumerate(free[:b])}
+    return GroupPresentation(group.p, len(free), group.m, c)
+
+
 def epicentre_in_derived(group: GroupPresentation) -> Subspace:
     """The epicentre, as a subspace of the derived coordinates.
 
-    Requires Z(G) = [G, G]; in that regime the epicentre is exactly
-    {g : g (x) e_i lies in the relation subspace for every i}.
+    Computed on the factor H with Z(H) = [H, H] (H = G when the radical is
+    zero), where it is exactly {g : g (x) e_i lies in the relation subspace
+    for every i}.  Nontrivial abelian groups have no such factor and are
+    refused.
     """
     info = center(group)
     if not info.center_equals_derived:
-        raise PreconditionCenterNotDerived(
-            "epicentre computation requires the center to equal the derived subgroup"
-        )
+        if group.is_abelian:
+            raise PreconditionCenterNotDerived(
+                "epicentre computation requires a nonabelian group"
+            )
+        group = _radical_complement(group, info.radical)
     n, m = group.n, group.m
     if m == 0:
         return Subspace.zero(group.p, 0)
@@ -134,21 +152,6 @@ def epicentre_in_derived(group: GroupPresentation) -> Subspace:
     return Subspace(group.p, m, kernel_basis(stacked, group.p))
 
 
-def ellis_basis_criterion(group: GroupPresentation) -> str:
-    """Sufficient check: nonzero generator commutators forming a basis.
-
-    The stored commutator vectors always span the derived space, so they
-    form a basis exactly when their count equals its dimension.  Returns
-    "capable" or "inconclusive"; abelian input is always inconclusive
-    here and owned by the abelian rule instead.
-    """
-    if group.m == 0:
-        return "inconclusive"
-    if len(group.c_items) == group.m:
-        return CAPABLE
-    return "inconclusive"
-
-
 @dataclass(frozen=True)
 class CentralDecomposition:
     left: Subgroup
@@ -160,7 +163,6 @@ class CentralDecomposition:
 class DecompositionSearch:
     status: str  # "witness" | "none" | "exceeds_cap"
     witness: CentralDecomposition | None = None
-    trigger_witness: CentralDecomposition | None = None
     subgroup_count: int | None = None
 
 
@@ -171,9 +173,7 @@ def central_decomposition_search(
 
     A witness satisfies [C, D] = e, |C||D| = |G||C inter D|, and neither
     factor contains the other.  The first witness (largest orders first)
-    is reported, and separately the first witness whose factors' derived
-    subspaces overlap nontrivially, since only that kind certifies
-    non-capability.
+    is reported.
     """
     if group.order > cap:
         return DecompositionSearch("exceeds_cap")
@@ -182,16 +182,6 @@ def central_decomposition_search(
     identity = t.identity
     total = group.order
     ordering = sorted(subs, key=lambda s: (-s.order,) + s.sort_key()[1:])
-    derived_cache: dict = {}
-
-    def derived(sub: Subgroup) -> Subspace:
-        key = sub.element_indices
-        if key not in derived_cache:
-            derived_cache[key] = sub.derived_subspace()
-        return derived_cache[key]
-
-    witness = None
-    trigger = None
     for ci, left in enumerate(ordering):
         if left.order * left.order < total:
             # Every remaining pair is too small to cover the group.
@@ -210,17 +200,9 @@ def central_decomposition_search(
                 continue
             if left.contains(right) or right.contains(left):
                 continue
-            overlap = derived(left).intersect(derived(right)).dim
-            found = CentralDecomposition(left, right, overlap)
-            if witness is None:
-                witness = found
-            if overlap > 0 and trigger is None:
-                trigger = found
-            if witness is not None and trigger is not None:
-                return DecompositionSearch("witness", witness, trigger, len(subs))
-    if witness is not None:
-        return DecompositionSearch("witness", witness, trigger, len(subs))
-    return DecompositionSearch("none", None, None, len(subs))
+            overlap = left.derived_subspace().intersect(right.derived_subspace()).dim
+            return DecompositionSearch("witness", CentralDecomposition(left, right, overlap), len(subs))
+    return DecompositionSearch("none", None, len(subs))
 
 
 @dataclass(frozen=True)
@@ -230,46 +212,20 @@ class CapabilityVerdict:
     evidence: dict = field(default_factory=dict)
 
 
-def capability_verdict(
-    group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP
-) -> CapabilityVerdict:
+def capability_verdict(group: GroupPresentation) -> CapabilityVerdict:
     """Decide capability with a named method.
 
-    Decision order: the abelian rule (capable iff more than one
-    generator); the epicentre for groups whose center is the derived
-    subgroup; then for the remaining nonabelian groups the sufficient
-    independent-commutators check, a central-decomposition search within
-    the order cap, and finally undetermined.
+    Abelian groups follow Baer's rule: capable iff more than one
+    generator.  Every other group is capable iff its epicentre is trivial.
     """
     if group.is_abelian:
         status = CAPABLE if group.n > 1 else NOT_CAPABLE
         return CapabilityVerdict(status, "baer_abelian", {"abelian_rank": group.n})
-    info = center(group)
-    if info.center_equals_derived:
-        epi = epicentre_in_derived(group)
-        evidence = {"epicentre_dim": epi.dim, "epicentre_basis": epi.basis_tuples()}
-        if epi.dim == 0:
-            return CapabilityVerdict(CAPABLE, "epicentre_trivial", evidence)
-        return CapabilityVerdict(NOT_CAPABLE, "epicentre_nontrivial", evidence)
-    if ellis_basis_criterion(group) == CAPABLE:
-        return CapabilityVerdict(
-            CAPABLE,
-            "ellis_basis",
-            {"nonzero_commutators": len(group.c_items), "derived_dim": group.m},
-        )
-    search = central_decomposition_search(group, cap)
-    if search.trigger_witness is not None:
-        w = search.trigger_witness
-        return CapabilityVerdict(
-            NOT_CAPABLE,
-            "central_product",
-            {
-                "left_order": w.left.order,
-                "right_order": w.right.order,
-                "derived_overlap_dim": w.derived_overlap_dim,
-            },
-        )
-    return CapabilityVerdict(UNDETERMINED, "out_of_scope", {})
+    epi = epicentre_in_derived(group)
+    evidence = {"epicentre_dim": epi.dim, "epicentre_basis": epi.basis_tuples()}
+    if epi.dim == 0:
+        return CapabilityVerdict(CAPABLE, "epicentre_trivial", evidence)
+    return CapabilityVerdict(NOT_CAPABLE, "epicentre_nontrivial", evidence)
 
 
 @dataclass(frozen=True)
@@ -326,28 +282,17 @@ class EpicentreCrossCheck:
     passed: bool
     epicentre_dim: int
     quotients_checked: int
-    quotients_skipped: int
     failures: tuple
 
 
-def epicentre_cross_check(
-    group: GroupPresentation,
-    max_derived_dim: int = 4,
-    cap: int = DEFAULT_ORDER_CAP,
-) -> EpicentreCrossCheck:
+def epicentre_cross_check(group: GroupPresentation, max_derived_dim: int = 4) -> EpicentreCrossCheck:
     """Consistency oracle for the computed epicentre.
 
-    Enumerates every central subspace N of the derived coordinates and
-    checks (i) whenever G/N gets a definite capable verdict, N contains
-    the computed epicentre, and (ii) the quotient by the computed
-    epicentre itself gets a capable verdict when decidable.  Quotients
-    with an undetermined verdict are skipped and counted.
+    Enumerates every subspace N of the derived coordinates and checks
+    (i) whenever G/N is capable, N contains the computed epicentre, and
+    (ii) the quotient by the computed epicentre itself is capable.
+    Nontrivial abelian groups are refused, as by epicentre_in_derived.
     """
-    info = center(group)
-    if not info.center_equals_derived:
-        raise PreconditionCenterNotDerived(
-            "cross-check requires the center to equal the derived subgroup"
-        )
     if group.m > max_derived_dim:
         raise OrderExceedsCap(
             f"derived dimension {group.m} exceeds the enumeration limit {max_derived_dim}"
@@ -355,30 +300,20 @@ def epicentre_cross_check(
     zstar = epicentre_in_derived(group)
     failures = []
     checked = 0
-    skipped = 0
     for sub in all_subspaces(group.p, group.m):
         quotient, _ = quotient_by_central(group, sub)
-        verdict = capability_verdict(quotient, cap)
-        if verdict.status == UNDETERMINED:
-            skipped += 1
-            continue
         checked += 1
-        if verdict.status == CAPABLE and not sub.contains(zstar):
+        if capability_verdict(quotient).status == CAPABLE and not sub.contains(zstar):
             failures.append(
                 f"capable quotient by {sub.basis_tuples()} does not contain the epicentre"
             )
     by_epi, _ = quotient_by_central(group, zstar)
-    verdict = capability_verdict(by_epi, cap)
-    if verdict.status == UNDETERMINED:
-        skipped += 1
-    elif verdict.status != CAPABLE:
+    checked += 1
+    if capability_verdict(by_epi).status != CAPABLE:
         failures.append("quotient by the computed epicentre is not capable")
-    else:
-        checked += 1
     return EpicentreCrossCheck(
         passed=not failures,
         epicentre_dim=zstar.dim,
         quotients_checked=checked,
-        quotients_skipped=skipped,
         failures=tuple(failures),
     )

@@ -5,7 +5,9 @@ error, 3 verification failure.  Reports are `key = value` lines in a fixed
 key order so identical inputs produce byte-identical output; subspace
 bases print as echelon rows joined by commas.  The only recognized
 environment variable is NILP2_MAX_ORDER, which overrides the subgroup
-enumeration cap.
+enumeration cap of the search-backed commands (rp-check, extend,
+verify-embed and decompose); capability verdicts and epicentres have no
+cap.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_capable(args) -> int:
     g = fileformats.parse_group_file(args.file)
-    verdict = capability_verdict(g, _order_cap())
+    verdict = capability_verdict(g)
     values = {
         "verdict": verdict.status,
         "method": verdict.method,

@@ -112,7 +112,7 @@ class ExtensionReport:
 
 def _finish_report(mode, branch, trail, source, target, embedding, identified, cap):
     mono = is_monomorphism(embedding, cap)
-    verdict = capability_verdict(target, cap)
+    verdict = capability_verdict(target)
     rp = rp_membership(target, cap)
     claimed = BOUND_BY_BRANCH[(mode, branch)]
     actual = target.n - source.n
@@ -138,17 +138,16 @@ def build_capable_extension(
 ) -> ExtensionReport:
     """Embed the input in a capable group of the restricted class.
 
-    If the input is nonabelian with a definite capable verdict it is used
-    directly (+2 rank bound); otherwise it is first coproduct-extended by
-    one cyclic factor (+3).  Either way, the rank-2 free group is then
-    glued along a derived line, which forces the commutator relation while
-    keeping the epicentre trivial.
+    If the input is nonabelian and capable it is used directly (+2 rank
+    bound); otherwise it is first coproduct-extended by one cyclic factor
+    (+3).  Either way, the rank-2 free group is then glued along a derived
+    line, which forces the commutator relation while keeping the
+    epicentre trivial.
     """
     if group.order == 1:
         raise TrivialInput("the construction requires a nontrivial input")
     trail = []
-    verdict_in = capability_verdict(group, cap)
-    if not group.is_abelian and verdict_in.status == CAPABLE:
+    if not group.is_abelian and capability_verdict(group).status == CAPABLE:
         base = group
         into_base = identity_map(group)
         branch = "nonabelian_capable"
@@ -257,7 +256,7 @@ def verify_extension(report: ExtensionReport, cap: int = DEFAULT_ORDER_CAP) -> V
     evidence = {}
 
     def check_capability():
-        fresh = capability_verdict(report.output_group, cap)
+        fresh = capability_verdict(report.output_group)
         evidence.update(fresh.evidence)
         expected = CAPABLE if report.mode == "capable" else NOT_CAPABLE
         ok = (

@@ -9,6 +9,10 @@ class NotOddPrime(Nilp2Error):
     pass
 
 
+class ModulusTooLarge(Nilp2Error):
+    """The int64 sums of an operation could reach 2^63 for this modulus."""
+
+
 class SpanDeficit(Nilp2Error):
     """Commutator vectors fail to span the full derived space."""
 
@@ -46,7 +50,8 @@ class InconsistentMap(Nilp2Error):
 
 
 class PreconditionCenterNotDerived(Nilp2Error):
-    """Operation requires the center to coincide with the derived subgroup."""
+    """Operation needs a nonabelian group; a nontrivial abelian group's
+    center exceeds its derived subgroup."""
 
 
 class InvalidIdentification(Nilp2Error):

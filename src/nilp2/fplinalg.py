@@ -20,9 +20,14 @@ The products run in float64 BLAS only while every dot product is an
 integer below 2^53, i.e. while inner * (p - 1)^2 < 2^53, so they stay
 exact (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 35(3), 2008).
 Otherwise they run in int64, in slices of the inner dimension short
-enough that no partial sum reaches 2^63.  Residues must satisfy
-(p - 1)^2 < 2^63.  The reduced echelon form is unique, so the blocked and
-the per-pivot path return identical arrays.
+enough that no partial sum reaches 2^63.  The reduced echelon form is
+unique, so the blocked and the per-pivot path return identical arrays.
+
+Every sum of products of residues must stay below 2^63.  ``rref`` refuses
+a modulus with (p - 1)^2 + p >= 2^63, and ``Subspace`` one with
+ambient * (p - 1)^2 + p >= 2^63, which bounds the sums in
+``reduce_vector`` and ``preimage``; both raise ModulusTooLarge before
+any arithmetic.
 """
 
 from __future__ import annotations
@@ -31,18 +36,17 @@ import itertools
 
 import numpy as np
 
-from .errors import AmbientMismatch, NotOddPrime
+from .errors import AmbientMismatch, ModulusTooLarge, NotOddPrime
 
 __all__ = [
-    "FpMatrix",
     "Subspace",
     "all_subspaces",
+    "check_int64",
     "check_odd_prime",
-    "echelonize",
     "is_odd_prime",
-    "kernel",
-    "quotient_map",
-    "solve",
+    "kernel_basis",
+    "rref",
+    "solve_matrix",
 ]
 
 
@@ -66,6 +70,12 @@ def check_odd_prime(p) -> int:
     if not is_odd_prime(p):
         raise NotOddPrime(f"modulus must be an odd prime, got {p!r}")
     return int(p)
+
+
+def check_int64(bound: int, p: int, what: str) -> None:
+    """Refuse an operation mod p whose int64 sums can reach ``bound`` >= 2^63."""
+    if bound >= 2**63:
+        raise ModulusTooLarge(f"{what} mod {p}: int64 sums can reach {bound}, not below 2^63")
 
 
 def _as_array(data, p: int, width=None) -> np.ndarray:
@@ -147,6 +157,8 @@ def rref(a: np.ndarray, p: int):
     Returns (r, pivots).  Pivot entries are 1 with zeros above and below;
     the row space is preserved.
     """
+    p = int(p)
+    check_int64((p - 1) ** 2 + p, p, "elimination")
     r = np.mod(np.asarray(a, dtype=np.int64), p)
     if r.ndim != 2:
         raise AmbientMismatch("matrix data must be two-dimensional")
@@ -226,76 +238,6 @@ def solve_matrix(a: np.ndarray, b: np.ndarray, p: int):
     return x
 
 
-class FpMatrix:
-    """Immutable dense matrix over F_p with entries stored as residues."""
-
-    __slots__ = ("p", "entries")
-
-    def __init__(self, p, data, width=None):
-        self.p = check_odd_prime(p)
-        a = _as_array(data, self.p, width)
-        a.flags.writeable = False
-        self.entries = a
-
-    @classmethod
-    def identity(cls, p, n):
-        return cls(p, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, p, rows, cols):
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def row_tuples(self):
-        return tuple(tuple(int(x) for x in row) for row in self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, FpMatrix):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.entries.shape == other.entries.shape
-            and np.array_equal(self.entries, other.entries)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.entries.shape, self.entries.tobytes()))
-
-    def __repr__(self):
-        return f"FpMatrix(p={self.p}, {self.row_tuples()})"
-
-
-def echelonize(m: FpMatrix):
-    """Reduced row echelon form of m together with its rank."""
-    r, pivots = rref(m.entries, m.p)
-    return FpMatrix(m.p, r), len(pivots)
-
-
-def solve(a: FpMatrix, b):
-    """One solution x of a x = b as a tuple, or None if inconsistent."""
-    vec = np.array([int(x) for x in b], dtype=np.int64)
-    if vec.shape[0] != a.rows:
-        raise AmbientMismatch(
-            f"matrix has {a.rows} rows but target has {vec.shape[0]} entries"
-        )
-    x = solve_matrix(a.entries, vec, a.p)
-    if x is None:
-        return None
-    return tuple(int(v) for v in x[:, 0])
-
-
-def kernel(a: FpMatrix) -> FpMatrix:
-    """Reduced echelon basis of the right null space, one vector per row."""
-    return FpMatrix(a.p, kernel_basis(a.entries, a.p), width=a.cols)
-
-
 class Subspace:
     """Subspace of F_p^ambient held as a reduced row echelon basis.
 
@@ -310,6 +252,7 @@ class Subspace:
         self.ambient = int(ambient)
         if self.ambient < 0:
             raise AmbientMismatch("ambient dimension must be nonnegative")
+        check_int64(self.ambient * (self.p - 1) ** 2 + self.p, self.p, "subspace arithmetic")
         a = _as_array(vectors, self.p, self.ambient)
         r, pivots = rref(a, self.p)
         basis = r[: len(pivots)].copy()
@@ -405,20 +348,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(p={self.p}, ambient={self.ambient}, basis={self.basis_tuples()})"
-
-
-def quotient_map(w_dim: int, n: Subspace) -> FpMatrix:
-    """Projection of F_p^w_dim onto a complement of n, as a matrix.
-
-    Deterministic for fixed (w_dim, n): the surviving coordinates are the
-    non-pivot coordinates of n's echelon basis.  Surjective with kernel
-    exactly n.
-    """
-    if n.ambient != w_dim:
-        raise AmbientMismatch(
-            f"subspace lives in dimension {n.ambient}, expected {w_dim}"
-        )
-    return FpMatrix(n.p, n.complement_projection(), width=w_dim)
 
 
 def all_subspaces(p: int, ambient: int):

@@ -15,6 +15,11 @@ the right factor's low-index generators:
 
 The commutator pairing kappa extends c antisymmetrically: kappa(j, i) is
 c(j, i) for j > i, -c(i, j) for j < i, and zero on the diagonal.
+
+Arithmetic runs in int64.  The largest sums, in ``_delta``, ``_kappa``
+and the element tables, add up to n(n - 1) products of three residues, so
+a presentation with n(n - 1)(p - 1)^3 >= 2^63 is refused with
+ModulusTooLarge before any arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .errors import (
     PresentationMismatch,
     SpanDeficit,
 )
-from .fplinalg import Subspace, check_odd_prime, kernel_basis, rref, solve_matrix
+from .fplinalg import Subspace, check_int64, check_odd_prime, kernel_basis, rref, solve_matrix
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -79,6 +84,7 @@ class GroupPresentation:
         m = int(m)
         if n < 0 or m < 0:
             raise Nilp2Error("generator and commutator counts must be nonnegative")
+        check_int64(n * (n - 1) * (self.p - 1) ** 3, self.p, f"collection with {n} generators")
         self.n = n
         self.m = m
         items = []

@@ -158,6 +158,18 @@ def _check_identification(a, b, ident: Identification):
         raise InvalidIdentification("identification was built for different factors")
 
 
+def _glue(a, b, ident: Identification, m: int) -> Subspace:
+    """span{h - phi(h)} in F_p^m, whose first a.m coordinates are a's
+    derived block and the next b.m are b's."""
+    rows = []
+    for h, k in zip(ident.source_basis, ident.target_basis):
+        row = [0] * m
+        row[: a.m] = list(h)
+        row[a.m : a.m + b.m] = [(-int(x)) % b.p for x in k]
+        rows.append(row)
+    return Subspace(a.p, m, rows)
+
+
 def central_product_identified(
     a: GroupPresentation, b: GroupPresentation, ident: Identification
 ) -> ProductResult:
@@ -172,15 +184,8 @@ def central_product_identified(
     m = a.m + b.m
     c = _block_c(a, b, m, a.m)
     stage = GroupPresentation(a.p, a.n + b.n, m, c)
-    glue_rows = []
-    for h, k in zip(ident.source_basis, ident.target_basis):
-        row = [0] * m
-        row[: a.m] = list(h)
-        row[a.m :] = [(-int(x)) % b.p for x in k]
-        glue_rows.append(row)
-    glue = Subspace(a.p, m, glue_rows)
     product, _ = quotient_by_central(
-        stage, glue, label=_pair_label(f"cp{ident.size}", a, b)
+        stage, _glue(a, b, ident, m), label=_pair_label(f"cp{ident.size}", a, b)
     )
     left, right = _embeddings(a, b, product)
     return ProductResult(product, left, right)
@@ -200,17 +205,9 @@ def amalgamated_coproduct(
     if a.order == 1 or b.order == 1:
         raise TrivialFactor("amalgamated coproduct requires nontrivial factors")
     stage = nilpotent2_product(a, b)
-    m = stage.group.m
-    glue_rows = []
-    for h, k in zip(ident.source_basis, ident.target_basis):
-        row = [0] * m
-        row[: a.m] = list(h)
-        row[a.m : a.m + b.m] = [(-int(x)) % b.p for x in k]
-        glue_rows.append(row)
-    glue = Subspace(a.p, m, glue_rows)
     product, projection = quotient_by_central(
         stage.group,
-        glue,
+        _glue(a, b, ident, stage.group.m),
         label=_pair_label(f"amalg{ident.size}", a, b),
         provenance=AMALGAM_PROVENANCE,
     )

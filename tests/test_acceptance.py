@@ -4,6 +4,7 @@ Each test calls the shared battery function, prints one pass/fail line,
 and enforces the stated runtime budget.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -75,12 +76,16 @@ def test_criterion_10_cli_determinism_and_roundtrip():
     result = selfcheck.check_roundtrip()
     assert result.passed, result.detail
 
+    # The subprocess imports the same nilp2 as this test.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(selfcheck.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     runs = []
     for _ in range(2):
         proc = subprocess.run(
             [sys.executable, "-m", "nilp2.cli", "selftest"],
             capture_output=True,
             check=False,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()
         runs.append(proc.stdout)

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 from nilp2.capability import (
     capability_verdict,
     central_decomposition_search,
-    ellis_basis_criterion,
     epicentre_cross_check,
     epicentre_in_derived,
     jacobi_subspace,
@@ -19,11 +18,12 @@ from nilp2.constructions import build_capable_extension, extraspecial_p5, heisen
 from nilp2.errors import PreconditionCenterNotDerived, SpanDeficit
 from nilp2.fplinalg import Subspace, rref
 from nilp2.group_core import GroupPresentation, center, cyclic, elementary_abelian
-from nilp2.products import Identification, amalgamated_coproduct, central_product_identified
+from nilp2.products import Identification, amalgamated_coproduct, central_product_identified, direct_product
 from nilp2.selfcheck import (
     center_line_identification,
     expected_amalgam_epicentre,
     random_presentation,
+    rebase,
 )
 
 
@@ -145,16 +145,6 @@ def _random_invertible(rng, p, n):
             return a
 
 
-def rebase(group, a):
-    """The same group on the generators y_k = sum_i a[i, k] x_i:
-    c'(j, i) = kappa(a e_j, a e_i)."""
-    c = np.einsum("aj,bi,abt->jit", a, a, group.kappa_table()) % group.p
-    pairs = [(j, i) for j in range(2, group.n + 1) for i in range(1, j)]
-    return GroupPresentation(
-        group.p, group.n, group.m, {(j, i): tuple(int(x) for x in c[j - 1, i - 1]) for j, i in pairs}
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8), p=st.sampled_from([3, 5]), data=st.data())
 def test_epicentre_and_verdict_invariant_under_change_of_generators(seed, n, p, data):
@@ -169,13 +159,29 @@ def test_epicentre_and_verdict_invariant_under_change_of_generators(seed, n, p, 
     assert capability_verdict(h).status == capability_verdict(g).status
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 6),
+    r=st.integers(1, 2),
+    p=st.sampled_from([3, 5]),
+    data=st.data(),
+)
+def test_direct_factor_cp_r_keeps_status_and_epicentre(seed, n, r, p, data):
+    # G = H x C_p^r on random generators has the derived coordinates of H,
+    # so its epicentre must be H's, basis for basis.
+    m = data.draw(st.integers(1, min(n * (n - 1) // 2, 2 * n)), label="m")
+    rng = random.Random(seed)
+    h = _random_center_equals_derived(rng, p, n, m)
+    assume(h is not None)
+    g = rebase(direct_product(h, elementary_abelian(p, r)).group, _random_invertible(rng, p, n + r))
+    assert center(g).radical.dim == r
+    assert epicentre_in_derived(g) == epicentre_in_derived(h)
+    vg, vh = capability_verdict(g), capability_verdict(h)
+    assert (vg.status, vg.method, vg.evidence) == (vh.status, vh.method, vh.evidence)
+
+
 # -- named criteria -------------------------------------------------------------------
-
-
-def test_basis_criterion():
-    assert ellis_basis_criterion(heisenberg(3)) == "capable"
-    assert ellis_basis_criterion(extraspecial_p5(3)) == "inconclusive"
-    assert ellis_basis_criterion(elementary_abelian(3, 2)) == "inconclusive"
 
 
 def test_verdict_abelian_rule():
@@ -192,25 +198,38 @@ def test_verdict_extraspecial_two_methods_agree():
     v = capability_verdict(e)
     assert (v.status, v.method) == ("not_capable", "epicentre_nontrivial")
     search = central_decomposition_search(e)
-    assert search.trigger_witness is not None
-    assert search.trigger_witness.derived_overlap_dim >= 1
+    assert search.witness is not None
+    assert search.witness.derived_overlap_dim >= 1
 
 
 def test_verdict_for_direct_product_with_cyclic():
-    # center exceeds the derived subgroup; the independent-commutator check fires
-    from nilp2.products import direct_product
-
+    # center exceeds the derived subgroup; the epicentre is H3's, trivial
     g = direct_product(heisenberg(3), cyclic(3)).group
     assert not center(g).center_equals_derived
     v = capability_verdict(g)
-    assert (v.status, v.method) == ("capable", "ellis_basis")
+    assert (v.status, v.method) == ("capable", "epicentre_trivial")
+    assert v.evidence == {"epicentre_dim": 0, "epicentre_basis": ()}
+
+
+def test_verdict_for_extraspecial_times_cyclic_on_a_non_basis():
+    # order 3^6, above every enumeration cap, and its stored commutators
+    # are not a basis of the derived space
+    g = direct_product(extraspecial_p5(3), cyclic(3)).group
+    g = rebase(g, np.triu(np.ones((5, 5), dtype=np.int64)))
+    assert len(g.c_items) > g.m
+    assert epicentre_in_derived(g) == Subspace.full(3, 1)
+    v = capability_verdict(g)
+    assert (v.status, v.method) == ("not_capable", "epicentre_nontrivial")
+    assert epicentre_cross_check(g).passed
 
 
 def test_basis_criterion_agrees_with_verdict():
     rng = random.Random(41)
     for _ in range(40):
         g = random_presentation(rng, 3)
-        if ellis_basis_criterion(g) == "capable":
+        # The stored commutators always span, so they form a basis exactly
+        # when there are m of them; then G is capable.
+        if g.m and len(g.c_items) == g.m:
             assert capability_verdict(g).status == "capable"
 
 
@@ -286,7 +305,6 @@ def test_search_elementary_abelian():
     assert search.witness.left.order == 3
     assert search.witness.right.order == 3
     assert search.witness.derived_overlap_dim == 0
-    assert search.trigger_witness is None
 
 
 def test_search_heisenberg_none():
@@ -298,7 +316,7 @@ def test_search_heisenberg_none():
 def test_search_extraspecial_witness():
     search = central_decomposition_search(extraspecial_p5(3))
     assert search.status == "witness"
-    w = search.trigger_witness
+    w = search.witness
     assert (w.left.order, w.right.order) == (27, 27)
     assert w.derived_overlap_dim == 1
     # witness factors really commute and cover the group

@@ -161,6 +161,24 @@ def test_epicentre_precondition_exit(tmp_path, capsys):
     assert main(["epicentre", path]) == 2
 
 
+# E5 x C3, order 3^6, with the central generator in the middle.
+E5_TIMES_C3_FILE = "nilp2 v1\np 3\nn 5\nm 1\nc 2 1 1\nc 5 4 1\n"
+
+
+def test_epicentre_of_group_with_larger_center(tmp_path, capsys):
+    path = write(tmp_path, "g.grp", E5_TIMES_C3_FILE)
+    assert main(["epicentre", path]) == 0
+    assert capsys.readouterr().out == "epicentre_dim = 1\nepicentre_basis = 1\nn = 5\nm = 1\norder_exp = 6\n"
+
+
+def test_capable_ignores_the_order_cap(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "g.grp", E5_TIMES_C3_FILE)
+    monkeypatch.setenv("NILP2_MAX_ORDER", "1")
+    assert main(["capable", path]) == 0
+    out = capsys.readouterr().out
+    assert "verdict = not_capable\nmethod = epicentre_nontrivial\nepicentre_dim = 1\n" in out
+
+
 def test_rp_check_command(tmp_path, capsys):
     path = write(tmp_path, "h.grp", HEISENBERG_FILE)
     assert main(["rp-check", path]) == 0

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from nilp2.capability import epicentre_in_derived
@@ -12,7 +13,8 @@ from nilp2.constructions import (
 )
 from nilp2.errors import NotOddPrime, TrivialInput
 from nilp2.group_core import GroupPresentation, cyclic, elementary_abelian
-from nilp2.products import Identification, central_product_identified, nilpotent2_product
+from nilp2.products import Identification, central_product_identified, direct_product, nilpotent2_product
+from nilp2.selfcheck import rebase
 
 
 def test_heisenberg_builder():
@@ -78,6 +80,20 @@ def test_capable_extension_of_extraspecial_takes_otherwise_branch():
     assert rep.output_group.n <= 4 + 3
     assert rep.capability.status == "capable"
     assert rep.rp.status in ("member", "member_by_construction")
+
+
+def test_capable_extension_of_heisenberg_times_cyclic_on_a_non_basis():
+    # Z(G) > G' and the stored commutators are not a basis: the input is
+    # still decided capable, so it is used directly (+2)
+    g = rebase(direct_product(heisenberg(3), cyclic(3)).group, np.triu(np.ones((3, 3), dtype=np.int64)))
+    assert len(g.c_items) > g.m
+    rep = build_capable_extension(g)
+    assert rep.branch == "nonabelian_capable"
+    assert rep.rank_bound_claimed == 2
+    assert rep.rank_bound_actual == 2
+    assert (rep.capability.status, rep.capability.method) == ("capable", "epicentre_trivial")
+    outcome = verify_extension(rep)
+    assert outcome.passed, outcome.checks
 
 
 def test_capable_extension_p5():

@@ -3,16 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from nilp2.errors import AmbientMismatch, NotOddPrime
+from nilp2.errors import AmbientMismatch, ModulusTooLarge, NotOddPrime
 from nilp2.fplinalg import (
-    FpMatrix,
     Subspace,
     all_subspaces,
-    echelonize,
+    check_odd_prime,
     is_odd_prime,
-    kernel,
-    quotient_map,
-    solve,
+    kernel_basis,
+    rref,
+    solve_matrix,
 )
 
 
@@ -24,32 +23,31 @@ def test_odd_prime_detection():
 
 
 def test_matrix_rejects_bad_modulus():
-    with pytest.raises(NotOddPrime):
-        FpMatrix(2, [[1, 0]])
-    with pytest.raises(NotOddPrime):
-        FpMatrix(15, [[1, 0]])
+    for p in (2, 15):
+        with pytest.raises(NotOddPrime):
+            check_odd_prime(p)
+        with pytest.raises(NotOddPrime):
+            Subspace(p, 2, [(1, 0)])
 
 
 def test_echelonize_identity():
-    m = FpMatrix.identity(3, 3)
-    r, rank = echelonize(m)
-    assert r == m
-    assert rank == 3
+    eye = np.eye(3, dtype=np.int64)
+    r, pivots = rref(eye, 3)
+    assert np.array_equal(r, eye)
+    assert pivots == [0, 1, 2]
 
 
 def test_echelonize_zero():
-    m = FpMatrix.zeros(5, 2, 4)
-    r, rank = echelonize(m)
-    assert r == m
-    assert rank == 0
+    r, pivots = rref(np.zeros((2, 4), dtype=np.int64), 5)
+    assert np.array_equal(r, np.zeros((2, 4), dtype=np.int64))
+    assert pivots == []
 
 
 def test_echelonize_rank_one():
     # row2 - 2*row1 vanishes mod 3
-    m = FpMatrix(3, [[1, 2], [2, 1]])
-    r, rank = echelonize(m)
-    assert r.row_tuples() == ((1, 2), (0, 0))
-    assert rank == 1
+    r, pivots = rref(np.array([[1, 2], [2, 1]]), 3)
+    assert r.tolist() == [[1, 2], [0, 0]]
+    assert len(pivots) == 1
 
 
 def test_echelonize_idempotent_random():
@@ -57,34 +55,33 @@ def test_echelonize_idempotent_random():
     for _ in range(50):
         p = rng.choice([3, 5, 7])
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        m = FpMatrix(p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
-        r, rank = echelonize(m)
-        again, rank2 = echelonize(r)
-        assert again == r
-        assert rank2 == rank
+        a = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
+        r, pivots = rref(a, p)
+        again, pivots2 = rref(r, p)
+        assert np.array_equal(again, r)
+        assert pivots2 == pivots
 
 
 def test_solve_identity():
-    a = FpMatrix.identity(3, 3)
-    assert solve(a, (2, 0, 1)) == (2, 0, 1)
+    x = solve_matrix(np.eye(3, dtype=np.int64), np.array([2, 0, 1]), 3)
+    assert x[:, 0].tolist() == [2, 0, 1]
 
 
 def test_solve_inconsistent():
-    a = FpMatrix.zeros(3, 2, 2)
-    assert solve(a, (1, 0)) is None
+    assert solve_matrix(np.zeros((2, 2), dtype=np.int64), np.array([1, 0]), 3) is None
 
 
 def test_solve_kernel_direction():
-    a = FpMatrix(3, [[1, 2], [2, 1]])
-    x = solve(a, (0, 0))
+    a = np.array([[1, 2], [2, 1]])
+    x = solve_matrix(a, np.array([0, 0]), 3)
     assert x is not None
-    assert x[0] == x[1]
-    assert np.array_equal(np.mod(a.entries @ np.array(x), 3), np.zeros(2, dtype=np.int64))
+    assert x[0, 0] == x[1, 0]
+    assert not np.any(np.mod(a @ x, 3))
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(AmbientMismatch):
-        solve(FpMatrix.identity(3, 2), (1, 0, 0))
+        solve_matrix(np.eye(2, dtype=np.int64), np.array([1, 0, 0]), 3)
 
 
 def test_rank_nullity_random():
@@ -92,9 +89,9 @@ def test_rank_nullity_random():
     for _ in range(60):
         p = rng.choice([3, 5])
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        m = FpMatrix(p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
-        _, rank = echelonize(m)
-        assert rank + kernel(m).rows == cols
+        a = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
+        _, pivots = rref(a, p)
+        assert len(pivots) + kernel_basis(a, p).shape[0] == cols
 
 
 def test_subspace_idempotent_ops():
@@ -140,23 +137,20 @@ def test_dimension_formula_random():
 
 
 def test_quotient_map_zero_subspace():
-    q = quotient_map(3, Subspace.zero(3, 3))
-    assert q == FpMatrix.identity(3, 3)
+    q = Subspace.zero(3, 3).complement_projection()
+    assert np.array_equal(q, np.eye(3, dtype=np.int64))
 
 
 def test_quotient_map_full_subspace():
-    q = quotient_map(2, Subspace.full(3, 2))
-    assert q.rows == 0
-    assert q.cols == 2
+    q = Subspace.full(3, 2).complement_projection()
+    assert q.shape == (0, 2)
 
 
 def test_quotient_map_line():
-    n = Subspace(3, 2, [(1, 2)])
-    q = quotient_map(2, n)
-    assert q.rows == 1
-    pi = q.entries
-    assert np.all(np.mod(pi @ np.array([1, 2]), 3) == 0)
-    assert np.any(np.mod(pi @ np.array([0, 1]), 3))
+    q = Subspace(3, 2, [(1, 2)]).complement_projection()
+    assert q.shape[0] == 1
+    assert np.all(np.mod(q @ np.array([1, 2]), 3) == 0)
+    assert np.any(np.mod(q @ np.array([0, 1]), 3))
 
 
 def test_quotient_map_properties_random():
@@ -165,13 +159,12 @@ def test_quotient_map_properties_random():
         p = rng.choice([3, 5])
         dim = rng.randint(1, 5)
         n = Subspace(p, dim, [[rng.randrange(p) for _ in range(dim)] for _ in range(rng.randint(0, dim))])
-        q = quotient_map(dim, n)
-        assert q.rows == dim - n.dim
-        # kernel is exactly n, and the map hits every coordinate of the target
-        for row in n.basis:
-            assert not np.any(np.mod(q.entries @ row, p))
-        _, rank = echelonize(q)
-        assert rank == q.rows
+        q = n.complement_projection()
+        assert q.shape == (dim - n.dim, dim)
+        # surjective, and the kernel is exactly n
+        _, pivots = rref(q, p)
+        assert len(pivots) == q.shape[0]
+        assert Subspace(p, dim, kernel_basis(q, p)) == n
 
 
 def test_all_subspaces_counts():
@@ -265,8 +258,6 @@ def _is_zero_mod(product, p):
 @pytest.mark.parametrize("p", [3, 5, 7, 101, BIG_PRIME])
 @pytest.mark.parametrize("shape", [name for name, _ in SHAPES])
 def test_rref_and_kernel_match_reference(p, shape):
-    from nilp2.fplinalg import kernel_basis, rref
-
     rng = random.Random(f"{shape}-{p}")
     a = dict(SHAPES)[shape](rng, p)
     rows, cols = a.shape
@@ -288,11 +279,36 @@ def test_rref_and_kernel_match_reference(p, shape):
 
 
 def test_rref_leaves_input_untouched():
-    from nilp2.fplinalg import rref
-
     rng = random.Random(3)
     for rows in (5, 150):
         a = _random_matrix(rng, 7, rows, 20)
         before = a.copy()
         rref(a, 7)
         assert np.array_equal(a, before)
+
+
+# -- moduli whose int64 sums overflow -------------------------------------------
+
+HUGE_PRIME = 4294967311  # (p - 1)^2 >= 2^63
+
+
+def test_rref_refuses_a_modulus_whose_products_overflow():
+    p = HUGE_PRIME
+    with pytest.raises(ModulusTooLarge):
+        rref(np.array([[p - 2, p - 3], [p - 5, p - 7]]), p)
+
+
+def test_subspace_refuses_a_modulus_whose_sums_overflow():
+    p = HUGE_PRIME
+    with pytest.raises(ModulusTooLarge):
+        Subspace(p, 2, [(p - 2, p - 3)])
+    # ambient * (p - 1)^2 + p is the bound: at 2^31 - 1 it allows two
+    # coordinates and refuses three.
+    u = Subspace(BIG_PRIME, 2, [(BIG_PRIME - 2, BIG_PRIME - 3)])
+    assert u.contains_vector((BIG_PRIME - 2, BIG_PRIME - 3))
+    assert u.contains_vector((2 * (BIG_PRIME - 2) % BIG_PRIME, 2 * (BIG_PRIME - 3) % BIG_PRIME))
+    with pytest.raises(ModulusTooLarge):
+        Subspace(BIG_PRIME, 3)
+    u = Subspace(101, 3, [(100, 99, 1)])
+    assert u.contains_vector((1, 2, 100))
+    assert not u.contains_vector((0, 1, 0))

@@ -8,6 +8,7 @@ from nilp2.errors import (
     BadIndex,
     EntryOutOfRange,
     InconsistentMap,
+    ModulusTooLarge,
     NotOddPrime,
     OrderExceedsCap,
     PresentationMismatch,
@@ -73,6 +74,22 @@ def test_validate_entry_out_of_range():
         validate(3, 2, 1, {(2, 1): (3,)})
     with pytest.raises(EntryOutOfRange):
         validate(3, 2, 1, {(2, 1): (-1,)})
+
+
+def test_validate_refuses_a_modulus_whose_sums_overflow():
+    # At p = 2^31 - 1 the collection sums overflow int64: with
+    # c(2, 1) = (p - 1,), multiply((p-1, p-2 | 0), (p-3, p-5 | 0)) would give
+    # w = (1,) instead of 2147483641.
+    p = 2**31 - 1
+    with pytest.raises(ModulusTooLarge):
+        validate(p, 2, 1, {(2, 1): (p - 1,)})
+    # n(n - 1)(p - 1)^3 is the bound; one generator has no commutators.
+    assert validate(p, 1, 0).order == p
+    g = validate(101, 3, 1, {(2, 1): (100,), (3, 2): (99,)})
+    (a1, a2, a3), (b1, b2, b3) = (100, 99, 98), (98, 96, 95)
+    a, b = g.element((a1, a2, a3), (97,)), g.element((b1, b2, b3), (0,))
+    assert multiply(a, b).w == ((97 + a2 * b1 * 100 + a3 * b2 * 99) % 101,)
+    assert commutator(a, b).w == (((a2 * b1 - a1 * b2) * 100 + (a3 * b2 - a2 * b3) * 99) % 101,)
 
 
 def test_presentation_equality_ignores_label():
