@@ -16,10 +16,14 @@ the right factor's low-index generators:
 The commutator pairing kappa extends c antisymmetrically: kappa(j, i) is
 c(j, i) for j > i, -c(i, j) for j < i, and zero on the diagonal.
 
-Arithmetic runs in int64.  The largest sums, in ``_delta``, ``_kappa``
-and the element tables, add up to n(n - 1) products of three residues, so
-a presentation with n(n - 1)(p - 1)^3 >= 2^63 is refused with
-ModulusTooLarge before any arithmetic.
+Arithmetic runs in int64.  The largest sums, in ``_delta``, ``_kappa``,
+``hom_from_images`` and the element tables, add up to n(n - 1) products of
+three residues, so a presentation with n(n - 1)(p - 1)^3 >= 2^63 is
+refused with ModulusTooLarge before any arithmetic.  Each such sum is two
+unreduced products (``_pair_sum``): the left vectors against the table
+flattened to n x nm, then the right vectors against that.  The tables
+vanish on the diagonal, so an entry of the first product has at most
+n - 1 terms, and neither product leaves the bound.
 """
 
 from __future__ import annotations
@@ -247,18 +251,24 @@ def _same_group(a: "GroupElement", b: "GroupElement"):
         raise PresentationMismatch("elements belong to different presentations")
 
 
+def _pair_sum(table: np.ndarray, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over j, i of a_j * b_i * table[j, i], mod p, as two products.
+
+    a and b are vectors, giving shape (m,), or stacks of vectors, giving
+    shape (len(a), len(b), m) with the a index first.
+    """
+    n, _, m = table.shape
+    left = (a @ table.reshape(n, n * m)).reshape(a.shape[:-1] + (n, m))
+    out = b @ left
+    return np.mod(out, p, out=out)
+
+
 def _delta(group: GroupPresentation, va, vb) -> np.ndarray:
-    if group.m == 0 or group.n == 0:
-        return np.zeros(group.m, dtype=np.int64)
-    out = np.einsum("j,i,jit->t", va, vb, group.delta_table())
-    return np.mod(out, group.p)
+    return _pair_sum(group.delta_table(), group.p, va, vb)
 
 
 def _kappa(group: GroupPresentation, va, vb) -> np.ndarray:
-    if group.m == 0 or group.n == 0:
-        return np.zeros(group.m, dtype=np.int64)
-    out = np.einsum("j,i,jit->t", va, vb, group.kappa_table())
-    return np.mod(out, group.p)
+    return _pair_sum(group.kappa_table(), group.p, va, vb)
 
 
 class GroupElement:
@@ -315,8 +325,8 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     v = tuple((x + y) % p for x, y in zip(a.v, b.v))
     if g.m == 0:
         return GroupElement(g, v, ())
-    w = np.mod(a.w_array() + b.w_array() + _delta(g, a.v_array(), b.v_array()), p)
-    return GroupElement(g, v, tuple(int(x) for x in w))
+    d = _delta(g, a.v_array(), b.v_array()).tolist()
+    return GroupElement(g, v, tuple((x + y + z) % p for x, y, z in zip(a.w, b.w, d)))
 
 
 def inverse(a: GroupElement) -> GroupElement:
@@ -325,8 +335,9 @@ def inverse(a: GroupElement) -> GroupElement:
     v = tuple((-x) % p for x in a.v)
     if g.m == 0:
         return GroupElement(g, v, ())
-    w = np.mod(-a.w_array() + _delta(g, a.v_array(), a.v_array()), p)
-    return GroupElement(g, v, tuple(int(x) for x in w))
+    va = a.v_array()
+    d = _delta(g, va, va).tolist()
+    return GroupElement(g, v, tuple((z - x) % p for x, z in zip(a.w, d)))
 
 
 def power(a: GroupElement, k: int) -> GroupElement:
@@ -339,8 +350,9 @@ def power(a: GroupElement, k: int) -> GroupElement:
     if g.m == 0:
         return GroupElement(g, v, ())
     binom = (k * (k - 1) // 2) % p
-    w = np.mod(kv * a.w_array() + binom * _delta(g, a.v_array(), a.v_array()), p)
-    return GroupElement(g, v, tuple(int(x) for x in w))
+    va = a.v_array()
+    d = _delta(g, va, va).tolist()
+    return GroupElement(g, v, tuple((kv * x + binom * z) % p for x, z in zip(a.w, d)))
 
 
 def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -348,7 +360,7 @@ def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
     _same_group(a, b)
     g = a.group
     w = _kappa(g, a.v_array(), b.v_array())
-    return GroupElement(g, (0,) * g.n, tuple(int(x) for x in w))
+    return GroupElement(g, (0,) * g.n, tuple(w.tolist()))
 
 
 # -- structural subgroups --------------------------------------------------
@@ -496,26 +508,21 @@ def hom_from_images(dom: GroupPresentation, cod: GroupPresentation, images) -> G
         if img.group is not cod and img.group != cod:
             raise PresentationMismatch("generator image lies in the wrong presentation")
 
-    pairs = [(j, i) for j in range(2, dom.n + 1) for i in range(1, j)]
-    cmap = dom.c
-    dom_cols = np.zeros((dom.m, len(pairs)), dtype=np.int64)
-    img_cols = np.zeros((cod.m, len(pairs)), dtype=np.int64)
-    for k, (j, i) in enumerate(pairs):
-        vec = cmap.get((j, i))
-        if vec is not None:
-            dom_cols[:, k] = vec
-        img_cols[:, k] = _kappa(cod, images[j - 1].v_array(), images[i - 1].v_array())
+    # Row k of vs is the image of x_{k+1}; the mask selects the pairs j > i
+    # in row-major order.
+    vs = np.array([img.v for img in images], dtype=np.int64).reshape(dom.n, cod.n)
+    below = np.tri(dom.n, k=-1, dtype=bool)
+    dom_rows = dom.delta_table()[below]
+    img_rows = _kappa(cod, vs, vs)[below]
 
-    solution = solve_matrix(dom_cols.T, img_cols.T, dom.p)
+    solution = solve_matrix(dom_rows, img_rows, dom.p)
     if solution is None:
         matrix = None
     else:
         matrix = np.mod(solution.T, dom.p)
         matrix.flags.writeable = False
 
-    abelianized = np.zeros((cod.n, dom.n), dtype=np.int64)
-    for i, img in enumerate(images):
-        abelianized[:, i] = img.v
+    abelianized = vs.T.copy()
     abelianized.flags.writeable = False
     return GeneratorMap(dom, cod, images, matrix, abelianized)
 
@@ -586,21 +593,22 @@ class _ElementTables:
         ).reshape(size, n + m)
         v = vecs[:, :n]
         w = vecs[:, n:]
-        if n and m:
-            cross = np.mod(np.einsum("aj,bi,jit->abt", v, v, group.delta_table()), p)
-            cw = np.mod(np.einsum("aj,bi,jit->abt", v, v, group.kappa_table()), p)
-        else:
-            cross = np.zeros((size, size, m), dtype=np.int64)
-            cw = cross
         weights = p ** np.arange(n + m - 1, -1, -1, dtype=np.int64)
-        vv = np.mod(v[:, None, :] + v[None, :, :], p)
-        ww = np.mod(w[:, None, :] + w[None, :, :] + cross, p)
+        # In place, to hold few size x size x m temporaries at once.
+        ww = _delta(group, v, v)
+        ww += w[:, None, :]
+        ww += w[None, :, :]
+        np.mod(ww, p, out=ww)
+        vv = v[:, None, :] + v[None, :, :]
+        np.mod(vv, p, out=vv)
+        mul = vv @ weights[:n]
+        mul += ww @ weights[n:]
         self.group = group
         self.size = size
         self.identity = 0
         self.vecs = vecs
-        self.mul = (vv @ weights[:n] + ww @ weights[n:]).astype(np.int32)
-        self.comm = (np.mod(cw, p) @ weights[n:]).astype(np.int32)
+        self.mul = mul.astype(np.int32)
+        self.comm = (_kappa(group, v, v) @ weights[n:]).astype(np.int32)
         self.n = n
         self.m = m
 
@@ -644,12 +652,8 @@ class Subgroup:
     def derived_subspace(self) -> Subspace:
         """Span of the commutators of the stored generators."""
         t = _tables(self.group)
-        gens = [t.vecs[i][: self.group.n] for i in self.generator_indices]
-        rows = [
-            _kappa(self.group, a, b)
-            for idx, a in enumerate(gens)
-            for b in gens[idx + 1 :]
-        ]
+        gens = t.vecs[list(self.generator_indices), : self.group.n]
+        rows = _kappa(self.group, gens, gens)[np.triu_indices(len(gens), 1)]
         return Subspace(self.group.p, self.group.m, rows)
 
     def sort_key(self):
