@@ -5,23 +5,43 @@ read-only after construction.  Subspaces are stored by their reduced row
 echelon basis, so two subspaces are equal exactly when their basis arrays
 are entry-identical.
 
-One elimination kernel, ``rref``, serves every caller.  Inputs of at most
-64 rows are reduced pivot by pivot, each step touching only the rows that
-are nonzero in the pivot column and the columns from the pivot on; the
-updated rows are reduced mod p once at the end, as long as no entry can
-reach 2^63 on the way.  Taller inputs are reduced in blocks of 64 rows
+One elimination kernel, ``rref``, serves every caller and always returns
+int64.  Inputs with no rows, no columns or one row are answered directly.
+Inputs of at most 64 rows are reduced pivot by pivot, each step touching
+the columns from the pivot on in the rows that are nonzero in the pivot
+column (in all rows, as one plain slice, when more than half are); the
+updated rows are reduced mod p once at the end.  When
+a column has no pivot left, the search moves on 32 columns at a time; a
+skipped column stays zero in every remaining row, so the search reads
+each entry at most once.  Taller inputs are reduced in blocks of 64 rows
 against the reduced echelon basis found so far (at most ``cols`` rows):
 each block costs two matrix products mod p, one reducing the block by the
 basis and one clearing the block's new pivot columns from the basis.  The
 elimination stops as soon as the rank reaches ``cols``; every later row
-is then in the span.
+is then in the span.  The reduced echelon form is unique, so the blocked
+and the per-pivot path return identical arrays.
 
-The products run in float64 BLAS only while every dot product is an
-integer below 2^53, i.e. while inner * (p - 1)^2 < 2^53, so they stay
-exact (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 35(3), 2008).
-Otherwise they run in int64, in slices of the inner dimension short
-enough that no partial sum reaches 2^63.  The reduced echelon form is
-unique, so the blocked and the per-pivot path return identical arrays.
+Widths.  The elimination runs in the narrowest integer dtype that holds
+every intermediate entry exactly (cf. Dumas, Giorgi and Pernet,
+FFLAS-FFPACK, ACM TOMS 35(3), 2008).  Entries start in [0, p) and each
+pivot subtracts less than (p - 1)^2 from an entry, with at most ``cols``
+pivots, so every entry lies above -cols * (p - 1)^2 and below p.  So the
+storage is
+
+* int16 while cols * (p - 1)^2 + p < 2^15,
+* int32 while cols * (p - 1)^2 + p < 2^31,
+* int64 otherwise; if min(rows, cols) * (p - 1)^2 + p >= 2^63, updated
+  rows are then reduced mod p after every pivot instead of at the end.
+
+A block product with ``inner`` terms sums to at most inner * (p - 1)^2,
+and float sums of integers are exact below the mantissa limit.  So it
+runs in float32 while inner * (p - 1)^2 < 2^24, in float64 while
+inner * (p - 1)^2 < 2^53, and otherwise in int64, in slices of the inner
+dimension short enough that no partial sum reaches 2^63.  Since inner is
+at most ``cols``, a product's result always fits the storage dtype.
+
+Inputs of 512 entries or more that already lie in [0, p) are not reduced
+again: a min and a max cost about a tenth of a reduction pass.
 
 Every sum of products of residues must stay below 2^63.  ``rref`` refuses
 a modulus with (p - 1)^2 + p >= 2^63, and ``Subspace`` one with
@@ -78,6 +98,19 @@ def check_int64(bound: int, p: int, what: str) -> None:
         raise ModulusTooLarge(f"{what} mod {p}: int64 sums can reach {bound}, not below 2^63")
 
 
+# Below this many entries numpy's fixed cost per call dominates, and one
+# remainder call beats both a range check and the floor-division form.
+_SMALL = 512
+
+
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p; a itself when every entry already lies in [0, p), which a
+    min and a max establish ten times faster than one reduction pass."""
+    if a.size >= _SMALL and a.min() >= 0 and a.max() < p:
+        return a
+    return np.mod(a, p)
+
+
 def _as_array(data, p: int, width=None) -> np.ndarray:
     """Coerce row data to a 2-d int64 residue array."""
     if isinstance(data, np.ndarray) and data.ndim == 2:
@@ -91,86 +124,143 @@ def _as_array(data, p: int, width=None) -> np.ndarray:
         return np.zeros((0, 0 if width is None else width), dtype=np.int64)
     if width is not None and a.shape[1] != width:
         raise AmbientMismatch(f"expected rows of length {width}, got {a.shape[1]}")
-    return np.mod(a, p)
+    return _residues(a, p)
 
 
 # Rows per block of the blocked elimination; shorter inputs skip blocking.
 _BLOCK = 64
+# Columns per step of the forward scan for the next pivot column.
+_SCAN = 32
+
+
+def _storage_dtype(cols: int, p: int):
+    """The narrowest integer dtype that holds every entry of an elimination
+    with ``cols`` columns mod p: each lies above -cols * (p - 1)^2 and
+    below p (see the module docstring)."""
+    bound = cols * (p - 1) ** 2 + p
+    return np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64
+
+
+def _product_dtype(inner: int, p: int):
+    """The narrowest float dtype in which a product of residue matrices
+    with ``inner`` columns and rows is exact, or None for none."""
+    largest = inner * (p - 1) ** 2
+    return np.float32 if largest < 2**24 else np.float64 if largest < 2**53 else None
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p for a fresh integer array, reusing its storage.  On larger
+    arrays floor division by a scalar is several times cheaper than numpy's
+    remainder."""
+    if x.size < _SMALL:
+        return np.remainder(x, p, out=x)
+    q = x // p
+    q *= p
+    x -= q
+    return x
 
 
 def _sub_product(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(c - a @ b) mod p, exactly, for residue matrices."""
+    """(c - a @ b) mod p, exactly, for residue matrices of c's dtype."""
     inner = a.shape[1]
-    if inner * (p - 1) ** 2 < 2**53:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return np.mod(c - prod.astype(np.int64), p)
+    exact = _product_dtype(inner, p)
+    if exact is not None:
+        prod = a.astype(exact) @ b.astype(exact)
+        return _mod(c - prod.astype(c.dtype), p)
     step = max(1, (2**63 - p) // (p - 1) ** 2)
     for k in range(0, inner, step):
-        c = np.mod(c - a[:, k : k + step] @ b[k : k + step], p)
+        c = _mod(c - a[:, k : k + step] @ b[k : k + step], p)
     return c
+
+
+def _live_column(r: np.ndarray, row: int, col: int, p: int):
+    """The first column from ``col`` on that is nonzero mod p in rows
+    ``row`` onwards, or None.  Scans ``_SCAN`` columns at a time: a skipped
+    column stays zero in every remaining row, so one elimination scans each
+    entry at most once."""
+    cols = r.shape[1]
+    while col < cols:
+        live = (r[row:, col : col + _SCAN] % p).any(axis=0).nonzero()[0]
+        if live.size:
+            return col + int(live[0])
+        col += _SCAN
+    return None
 
 
 def _eliminate(r: np.ndarray, p: int) -> list:
     """Reduce the residue matrix r to reduced row echelon form in place,
     pivot by pivot; returns the pivot columns."""
     rows, cols = r.shape
+    # Updated rows are reduced only at the end while no entry can reach
+    # 2^63: each takes one update below (p - 1)^2 per pivot.  A narrower
+    # storage dtype is only ever chosen with room for every entry.
+    eager = r.dtype == np.int64 and min(rows, cols) * (p - 1) ** 2 + p >= 2**63
     pivots = []
     row = col = 0
     while row < rows and col < cols:
         column = r[:, col] % p
         hits = column[row:].nonzero()[0]
         if hits.size == 0:
-            live = (r[row:, col:] % p).any(axis=0).nonzero()[0]
-            if live.size == 0:
+            col = _live_column(r, row, col + 1, p)
+            if col is None:
                 break
-            col += int(live[0])
             column = r[:, col] % p
             hits = column[row:].nonzero()[0]
         lead = row + int(hits[0])
         if lead != row:
-            r[[row, lead]] = r[[lead, row]]
-            column[[row, lead]] = column[[lead, row]]
+            r[row], r[lead] = r[lead].copy(), r[row].copy()
+            column[row], column[lead] = column[lead], column[row]
         inv = pow(int(column[row]), -1, p)
         r[row, col:] = r[row, col:] % p * inv % p
         column[row] = 0
         others = column.nonzero()[0]
         if others.size:
-            # A plain slice is cheaper than gathering every other row.
-            if others.size == rows - 1:
+            # A plain slice costs about as much as gathering half the rows.
+            if 2 * others.size > rows:
                 others = slice(None)
             r[others, col:] -= column[others, None] * r[row, col:]
-            # Updated rows are reduced only at the end while no entry can
-            # reach 2^63: each takes one update below (p - 1)^2 per pivot.
-            if min(rows, cols) * (p - 1) ** 2 + p >= 2**63:
+            if eager:
                 r[others, col:] %= p
         pivots.append(col)
         row += 1
         col += 1
     if pivots:
-        np.mod(r, p, out=r)
+        _mod(r, p)
     return pivots
 
 
 def rref(a: np.ndarray, p: int):
     """Reduced row echelon form of an integer matrix mod p.
 
-    Returns (r, pivots).  Pivot entries are 1 with zeros above and below;
-    the row space is preserved.
+    Returns (r, pivots), r a fresh int64 array.  Pivot entries are 1 with
+    zeros above and below; the row space is preserved.
     """
     p = int(p)
     check_int64((p - 1) ** 2 + p, p, "elimination")
-    r = np.mod(np.asarray(a, dtype=np.int64), p)
-    if r.ndim != 2:
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 2:
         raise AmbientMismatch("matrix data must be two-dimensional")
-    rows, cols = r.shape
+    rows, cols = a.shape
+    if rows <= 1 or cols == 0:
+        r = np.mod(a, p)
+        nonzero = r.nonzero()[1] if r.size else ()
+        if len(nonzero) == 0:
+            return r, []
+        lead = int(nonzero[0])
+        r[0] = r[0] * pow(int(r[0, lead]), -1, p) % p
+        return r, [lead]
+    r = _residues(a, p).astype(_storage_dtype(cols, p))
     if rows <= _BLOCK:
-        return r, _eliminate(r, p)
+        pivots = _eliminate(r, p)
+        return r.astype(np.int64, copy=False), pivots
     basis = r[:0].copy()
     pivots = []
     for start in range(0, rows, _BLOCK):
         block = r[start : start + _BLOCK]
         if pivots:
             block = _sub_product(block, block[:, pivots], basis, p)
+            if not block.any():  # the block lies in the span found so far
+                continue
         new = _eliminate(block, p)
         if not new:
             continue
@@ -183,9 +273,9 @@ def rref(a: np.ndarray, p: int):
         pivots = [pivots[i] for i in order]
         if len(pivots) == cols:
             break
-    r[: len(pivots)] = basis
-    r[len(pivots) :] = 0
-    return r, pivots
+    out = np.zeros((rows, cols), dtype=np.int64)
+    out[: len(pivots)] = basis
+    return out, pivots
 
 
 def _null_rows(r: np.ndarray, pivots, cols: int, p: int) -> np.ndarray:

@@ -98,16 +98,16 @@ class GroupPresentation:
                 raise BadIndex(
                     f"commutator index ({j}, {i}) must satisfy 1 <= i < j <= {n}"
                 )
-            entries = tuple(int(e) for e in vec)
+            entries = tuple(map(int, vec))
             if len(entries) != m:
                 raise AmbientMismatch(
                     f"commutator vector for ({j}, {i}) has {len(entries)} entries, expected {m}"
                 )
-            for e in entries:
-                if not (0 <= e < self.p):
-                    raise EntryOutOfRange(
-                        f"entry {e} for commutator ({j}, {i}) is outside [0, {self.p})"
-                    )
+            if entries and (min(entries) < 0 or max(entries) >= self.p):
+                e = next(e for e in entries if not (0 <= e < self.p))
+                raise EntryOutOfRange(
+                    f"entry {e} for commutator ({j}, {i}) is outside [0, {self.p})"
+                )
             if any(entries):
                 items.append(((j, i), entries))
         items.sort()
@@ -153,14 +153,20 @@ class GroupPresentation:
             provenance=self.provenance if provenance is None else provenance,
         )
 
+    def _c_arrays(self):
+        """The zero-based j and i of every nonzero commutator, and their
+        vectors as rows."""
+        keys = np.array([key for key, _ in self.c_items], dtype=np.intp).reshape(-1, 2) - 1
+        vectors = np.array([vec for _, vec in self.c_items], dtype=np.int64)
+        return keys[:, 0], keys[:, 1], vectors.reshape(len(keys), self.m)
+
     def kappa_table(self) -> np.ndarray:
         """Full antisymmetric pairing, shape (n, n, m)."""
         if self._kappa is None:
             k = np.zeros((self.n, self.n, self.m), dtype=np.int64)
-            for (j, i), vec in self.c_items:
-                a = np.array(vec, dtype=np.int64)
-                k[j - 1, i - 1] = a
-                k[i - 1, j - 1] = np.mod(-a, self.p)
+            j, i, vectors = self._c_arrays()
+            k[j, i] = vectors
+            k[i, j] = np.mod(-vectors, self.p)
             k.flags.writeable = False
             self._kappa = k
         return self._kappa
@@ -169,8 +175,8 @@ class GroupPresentation:
         """Collection table: c(j, i) at slot (j-1, i-1) for j > i, else zero."""
         if self._delta is None:
             d = np.zeros((self.n, self.n, self.m), dtype=np.int64)
-            for (j, i), vec in self.c_items:
-                d[j - 1, i - 1] = np.array(vec, dtype=np.int64)
+            j, i, vectors = self._c_arrays()
+            d[j, i] = vectors
             d.flags.writeable = False
             self._delta = d
         return self._delta

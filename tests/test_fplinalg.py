@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from nilp2 import fplinalg
 from nilp2.errors import AmbientMismatch, ModulusTooLarge, NotOddPrime
 from nilp2.fplinalg import (
     Subspace,
@@ -200,6 +201,26 @@ def reference_rref(a, p):
     return m, pivots
 
 
+def reference_rref_numpy(a, p):
+    """The same textbook Gauss-Jordan on int64 rows, reducing mod p after
+    every row operation; exact for p < 2^31.  Returns (rows, pivots)."""
+    m = np.mod(np.array(a, dtype=np.int64), p)
+    pivots = []
+    for c in range(m.shape[1]):
+        r = len(pivots)
+        hits = m[r:, c].nonzero()[0]
+        if hits.size == 0:
+            continue
+        lead = r + int(hits[0])
+        m[[r, lead]] = m[[lead, r]]
+        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
+        f = m[:, c].copy()
+        f[r] = 0
+        m = (m - f[:, None] * m[r]) % p
+        pivots.append(c)
+    return m.tolist(), pivots
+
+
 def reference_kernel(a, p, cols):
     m, pivots = reference_rref(a, p)
     free = [c for c in range(cols) if c not in pivots]
@@ -235,6 +256,34 @@ def _late_pivots(rng, p, cols, rank):
     return np.concatenate([early, fresh])
 
 
+def _zero_run(rng, p, run, leading=False):
+    """Rows whose columns 1..run vanish mod p once row 0 is eliminated,
+    holding nonzero multiples of p until the final reduction; the other
+    pivots lie in the last two columns.  With ``leading``, ``run`` more
+    columns of zeros come first."""
+    head = [1] + [rng.randrange(1, p) for _ in range(run)]
+    a = [head + [rng.randrange(p), rng.randrange(p)]]
+    for _ in range(5):
+        c = rng.randrange(1, p)
+        a.append([c * x % p for x in head] + [rng.randrange(p), rng.randrange(p)])
+    a = np.array(a, dtype=np.int64)
+    return np.concatenate([np.zeros((len(a), run), dtype=np.int64), a], axis=1) if leading else a
+
+
+def _tall_with_zero_runs(rng, p, rows, run):
+    """Tall rows of rank 3 whose pivots sit ``run`` columns apart, plus a
+    pivot in the last column from the final block."""
+    cols = 3 * run + 2
+    gens = np.zeros((3, cols), dtype=np.int64)
+    for k in range(3):
+        gens[k, k * run] = 1
+        gens[k, k * run + 1 : cols - 1] = [rng.randrange(p) for _ in range(cols - 2 - k * run)]
+    coeffs = np.array([[rng.randrange(p) for _ in range(3)] for _ in range(rows - 1)], dtype=np.int64)
+    last = np.zeros((1, cols), dtype=np.int64)
+    last[0, -1] = 1
+    return np.concatenate([coeffs @ gens % p, last])
+
+
 SHAPES = [
     ("empty", lambda rng, p: _random_matrix(rng, p, 0, 6)),
     ("one_row", lambda rng, p: _random_matrix(rng, p, 1, 9)),
@@ -248,6 +297,16 @@ SHAPES = [
     ("wide_full_row_rank", lambda rng, p: _random_matrix(rng, p, 100, 110)),
     ("zero_blocks_then_pivots", lambda rng, p: _late_pivots(rng, p, 25, rank=1)),
     ("last_pivot_late", lambda rng, p: _late_pivots(rng, p, 25, rank=24)),
+    ("zero_run_31", lambda rng, p: _zero_run(rng, p, 31)),
+    ("zero_run_32", lambda rng, p: _zero_run(rng, p, 32)),
+    ("zero_run_33", lambda rng, p: _zero_run(rng, p, 33)),
+    ("zero_run_64", lambda rng, p: _zero_run(rng, p, 64)),
+    ("leading_zero_run_32", lambda rng, p: _zero_run(rng, p, 32, leading=True)),
+    ("leading_zero_run_33", lambda rng, p: _zero_run(rng, p, 33, leading=True)),
+    ("tall_zero_runs_32", lambda rng, p: _tall_with_zero_runs(rng, p, 150, 32)),
+    ("tall_zero_runs_33", lambda rng, p: _tall_with_zero_runs(rng, p, 150, 33)),
+    ("tall_rank_deficient_wide", lambda rng, p: _random_matrix(rng, p, 300, 90, rank=40)),
+    ("tall_rank_deficient_sparse", lambda rng, p: _random_matrix(rng, p, 260, 50, density=0.02)),
 ]
 
 
@@ -255,7 +314,7 @@ def _is_zero_mod(product, p):
     return all(int(x) % p == 0 for x in np.asarray(product).ravel())
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 101, BIG_PRIME])
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 46337, BIG_PRIME])
 @pytest.mark.parametrize("shape", [name for name, _ in SHAPES])
 def test_rref_and_kernel_match_reference(p, shape):
     rng = random.Random(f"{shape}-{p}")
@@ -264,11 +323,17 @@ def test_rref_and_kernel_match_reference(p, shape):
     r, pivots = rref(a, p)
     ref, ref_pivots = reference_rref(a.tolist(), p)
     assert pivots == ref_pivots
+    assert r.dtype == np.int64
     assert r.shape == (rows, cols)
     assert r.tolist() == ref
-    # a shifted copy reduces to the same form
-    r2, _ = rref(a + 5 * p, p)
-    assert np.array_equal(r2, r)
+    # copies shifted by multiples of p, some entries negative or exactly p,
+    # reduce to the same form
+    shift = np.array([[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+    for moved in (a + 5 * p, a - 3 * p, a + p * shift.reshape(rows, cols), np.where(a == 0, p, a)):
+        r2, pivots2 = rref(moved, p)
+        assert r2.dtype == np.int64
+        assert pivots2 == pivots
+        assert np.array_equal(r2, r)
 
     k = kernel_basis(a, p)
     assert k.shape == (cols - len(pivots), cols)
@@ -312,3 +377,143 @@ def test_subspace_refuses_a_modulus_whose_sums_overflow():
     u = Subspace(101, 3, [(100, 99, 1)])
     assert u.contains_vector((1, 2, 100))
     assert not u.contains_vector((0, 1, 0))
+
+
+# -- the width rules of the elimination -------------------------------------
+
+
+def test_numpy_reference_matches_the_textbook_one():
+    rng = random.Random(19)
+    for p in (3, 257, 46337):
+        a = _random_matrix(rng, p, 30, 20, rank=12)
+        assert reference_rref_numpy(a, p) == reference_rref(a.tolist(), p)
+
+
+def test_storage_width_thresholds():
+    # cols * (p - 1)^2 + p must stay below 2^15 for int16 and 2^31 for
+    # int32; p = 2 hits every bound exactly.
+    assert fplinalg._storage_dtype(2**15 - 3, 2) is np.int16
+    assert fplinalg._storage_dtype(2**15 - 2, 2) is np.int32
+    assert fplinalg._storage_dtype(2**31 - 3, 2) is np.int32
+    assert fplinalg._storage_dtype(2**31 - 2, 2) is np.int64
+    # The odd primes closest to each bound: 181 and 46337 hold one column.
+    assert fplinalg._storage_dtype(1, 181) is np.int16  # 32581
+    assert fplinalg._storage_dtype(2, 181) is np.int32  # 64981
+    assert fplinalg._storage_dtype(1, 191) is np.int32  # 36291
+    assert fplinalg._storage_dtype(1, 46337) is np.int32  # 2^31 - 412415
+    assert fplinalg._storage_dtype(2, 46337) is np.int64
+    assert fplinalg._storage_dtype(1, 46349) is np.int64
+    # The widest int16 elimination mod 5, and one column more.
+    assert fplinalg._storage_dtype(2047, 5) is np.int16  # 32757
+    assert fplinalg._storage_dtype(2048, 5) is np.int32  # 32773
+
+
+def test_product_width_thresholds():
+    # inner * (p - 1)^2 must stay below 2^24 for float32, 2^53 for float64.
+    assert fplinalg._product_dtype(2**24 - 1, 2) is np.float32
+    assert fplinalg._product_dtype(2**24, 2) is np.float64
+    assert fplinalg._product_dtype(2**53 - 1, 2) is np.float64
+    assert fplinalg._product_dtype(2**53, 2) is None
+    assert fplinalg._product_dtype(255, 257) is np.float32  # 2^24 - 2^16
+    assert fplinalg._product_dtype(256, 257) is np.float64  # exactly 2^24
+    assert fplinalg._product_dtype(1, 4093) is np.float32
+    assert fplinalg._product_dtype(1, 4099) is np.float64
+    assert fplinalg._product_dtype(1, 46337) is np.float64
+    assert fplinalg._product_dtype(1, BIG_PRIME) is None  # int64 slices
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to the fplinalg helper ``name``."""
+    calls = []
+    original = getattr(fplinalg, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fplinalg, name, spy)
+    return calls
+
+
+def _worst_case(rng, p, rows, cols):
+    """Mostly p - 1 entries: the updates subtract as much as they can."""
+    return np.array(
+        [[p - 1 if rng.random() < 0.8 else rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize(
+    "p, cols, dtype",
+    [
+        (181, 1, np.int16),
+        (181, 2, np.int32),
+        (5, 2047, np.int16),
+        (5, 2048, np.int32),
+        (46337, 1, np.int32),
+        (46337, 2, np.int64),
+        (BIG_PRIME, 3, np.int64),
+    ],
+)
+@pytest.mark.parametrize("rows", [40, 150])
+def test_rref_eliminates_in_the_narrowest_width(monkeypatch, p, cols, dtype, rows):
+    rng = random.Random(f"{p}-{cols}-{rows}")
+    a = _worst_case(rng, p, rows, cols)
+    calls = _spy(monkeypatch, "_eliminate")
+    r, pivots = rref(a, p)
+    assert calls and all(block.dtype == dtype for block, _ in calls)
+    ref, ref_pivots = (reference_rref_numpy if p < 2**31 else reference_rref)(a, p)
+    assert r.dtype == np.int64
+    assert pivots == ref_pivots
+    assert r.tolist() == ref
+
+
+@pytest.mark.parametrize("rank, largest", [(255, 255 * 256**2), (260, 256 * 256**2)])
+def test_block_products_switch_to_float64_at_2_to_the_24(monkeypatch, rank, largest):
+    # Mod 257 a block product over 256 pivots sums up to exactly 2^24.
+    p = 257
+    rng = random.Random(rank)
+    gens = _worst_case(rng, p, rank, 260)
+    coeffs = np.array([[rng.randrange(p) for _ in range(rank)] for _ in range(270)], dtype=np.int64)
+    a = coeffs @ gens % p
+    calls = _spy(monkeypatch, "_product_dtype")
+    r, pivots = rref(a, p)
+    assert max(inner * (q - 1) ** 2 for inner, q in calls) == largest
+    ref, ref_pivots = reference_rref_numpy(a, p)
+    assert pivots == ref_pivots
+    assert r.tolist() == ref
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0), (1, 0), (1, 7)])
+def test_degenerate_inputs_skip_the_width_choice(monkeypatch, shape):
+    calls = _spy(monkeypatch, "_storage_dtype")
+    a = np.arange(shape[0] * shape[1], dtype=np.int64).reshape(shape) - 3
+    r, pivots = rref(a, 7)
+    assert calls == []
+    assert r.dtype == np.int64 and r.shape == shape
+    ref, ref_pivots = reference_rref(a.tolist(), 7)
+    assert pivots == ref_pivots
+    if shape[0] and shape[1]:
+        assert r.tolist() == ref
+
+
+@pytest.mark.parametrize("rows, cols", [(5, 30), (40, 40), (150, 20)])
+def test_inputs_in_range_are_not_reduced_again(rows, cols):
+    rng = random.Random(rows)
+    a = _random_matrix(rng, 7, rows, cols)
+    if a.size >= fplinalg._SMALL:
+        assert fplinalg._residues(a, 7) is a
+    moved = a - 7
+    assert np.array_equal(fplinalg._residues(moved, 7), a)
+    assert np.array_equal(fplinalg._residues(np.where(a == 0, 7, a), 7), a)
+    u = Subspace(7, cols, a)
+    assert u == Subspace(7, cols, a + 14) == Subspace(7, cols, moved)
+
+
+def test_tall_rref_enters_rref_once(monkeypatch):
+    # perfbench's fplinalg.rref.calls and .cells count entries into the
+    # module-level rref: the blocked path must not come back through it.
+    calls = _spy(monkeypatch, "rref")
+    a = _random_matrix(random.Random(5), 7, 300, 40, rank=30)
+    fplinalg.rref(a, 7)
+    assert [np.shape(args[0]) for args in calls] == [(300, 40)]
