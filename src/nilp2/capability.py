@@ -30,12 +30,12 @@ import itertools
 import numpy as np
 
 from .errors import OrderExceedsCap, PreconditionCenterNotDerived
-from .fplinalg import Subspace, all_subspaces, kernel_basis
+from .fplinalg import Subspace, all_subspaces, all_vectors, kernel_basis
 from .group_core import (
     DEFAULT_ORDER_CAP,
     GroupPresentation,
     Subgroup,
-    _tables,
+    _kappa,
     center,
     enumerate_subgroups,
     quotient_by_central,
@@ -177,38 +177,41 @@ def central_decomposition_search(
 
     Pairs are tested one left factor at a time, over the S subgroups in
     search order.  ``members`` marks each subgroup's elements; ``cent``
-    marks, for each possible left factor, its centralizer: the elements
-    commuting with all of its generators.  The right factors large enough
-    to cover G with the left one form a contiguous slice.  A right factor
-    commutes with the left one iff its generators lie in that centralizer,
-    and only the commuting ones have their meet counted.  Beyond the
-    enumeration and its tables the search costs O(S * order) boolean work
-    per left factor and holds at most 2 * S * order bytes of masks: 1.3 MB
-    for the 2664 subgroups of C3^5.
+    marks, for each possible left factor, its centralizer modulo the
+    derived subgroup: the v in F_p^n with kappa(v, g) = 0 for all of its
+    generators g.  The right factors large enough to cover G with the left
+    one form a contiguous slice.  A right factor commutes with the left
+    one iff its generators lie in that centralizer, and only the commuting
+    ones have their meet counted.  Beyond the enumeration the search costs
+    O(S * order) boolean work per left factor and holds at most
+    S * (order + p^n) bytes of masks: 1.3 MB for the 2664 subgroups of
+    C3^5.
     """
     if group.order > cap:
         return DecompositionSearch("exceeds_cap")
     subs = enumerate_subgroups(group, cap)
-    t = _tables(group)
     total = group.order
     # enumerate_subgroups sorts by (order, elements); a stable sort by
     # descending order keeps the elements ascending within each order.
     ordering = sorted(subs, key=lambda s: -s.order)
     orders = np.array([s.order for s in ordering], dtype=np.int64)
-    members = np.zeros((len(ordering), t.size), dtype=bool)
+    members = np.zeros((len(ordering), total), dtype=bool)
     members[
         np.repeat(np.arange(len(ordering)), orders),
         np.fromiter(itertools.chain.from_iterable(s.element_indices for s in ordering), dtype=np.int64),
     ] = True
-    # Generator lists padded with the identity, which commutes with everything.
+    # The v-part of each generator, as the index of v in all_vectors order;
+    # lists are padded with v = 0, which commutes with everything.
     width = max(len(s.generator_indices) for s in ordering)
-    gens = np.full((len(ordering), width), t.identity, dtype=np.int64)
+    gens = np.zeros((len(ordering), width), dtype=np.int64)
     for k, s in enumerate(ordering):
         gens[k, : len(s.generator_indices)] = s.generator_indices
+    gens //= group.p**group.m
+    vs = all_vectors(group.p, group.n)
+    commutes = ~_kappa(group, vs, vs).any(axis=2)
     # Only subgroups with |L|^2 >= |G| are left factors.
     lefts = int(np.count_nonzero(orders * orders >= total))
-    commutes = t.comm == t.identity
-    cent = np.ones((lefts, t.size), dtype=bool)
+    cent = np.ones((lefts, len(vs)), dtype=bool)
     for k in range(width):
         cent &= commutes[gens[:lefts, k]]
     # orders is nonincreasing, so -orders is sorted for searchsorted.

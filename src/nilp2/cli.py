@@ -5,8 +5,8 @@ error, 3 verification failure.  Reports are `key = value` lines in a fixed
 key order so identical inputs produce byte-identical output; subspace
 bases print as echelon rows joined by commas.  The only recognized
 environment variable is NILP2_MAX_ORDER, which overrides the subgroup
-enumeration cap of the search-backed commands (rp-check, extend,
-verify-embed and decompose); capability verdicts and epicentres have no
+enumeration cap of the search-backed commands (rp-check, extend and
+decompose); capability verdicts, epicentres and embedding checks have no
 cap.
 """
 
@@ -225,7 +225,7 @@ def cmd_verify_embed(args) -> int:
     if not gmap.consistent:
         _emit(format_report({"embedding_ok": _bool_text(False)}))
         return 3
-    mono = is_monomorphism(gmap, _order_cap())
+    mono = is_monomorphism(gmap)
     ok = mono.status == "mono"
     _emit(format_report({"embedding_ok": _bool_text(ok)}))
     return 0 if ok else 3

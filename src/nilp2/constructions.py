@@ -111,7 +111,7 @@ class ExtensionReport:
 
 
 def _finish_report(mode, branch, trail, source, target, embedding, identified, cap):
-    mono = is_monomorphism(embedding, cap)
+    mono = is_monomorphism(embedding)
     verdict = capability_verdict(target)
     rp = rp_membership(target, cap)
     claimed = BOUND_BY_BRANCH[(mode, branch)]
@@ -247,7 +247,7 @@ def verify_extension(report: ExtensionReport, cap: int = DEFAULT_ORDER_CAP) -> V
         )
         if not fresh.consistent:
             return False, "generator images admit no homomorphism"
-        mono = is_monomorphism(fresh, cap)
+        mono = is_monomorphism(fresh)
         if mono.status != "mono":
             return False, f"injectivity status {mono.status}"
         return report.embedding_mono, ""

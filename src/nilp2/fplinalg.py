@@ -61,8 +61,10 @@ from .errors import AmbientMismatch, ModulusTooLarge, NotOddPrime
 __all__ = [
     "Subspace",
     "all_subspaces",
+    "all_vectors",
     "check_int64",
     "check_odd_prime",
+    "echelon_bases",
     "is_odd_prime",
     "kernel_basis",
     "rref",
@@ -440,11 +442,15 @@ class Subspace:
         return f"Subspace(p={self.p}, ambient={self.ambient}, basis={self.basis_tuples()})"
 
 
-def all_subspaces(p: int, ambient: int):
-    """Yield every subspace of F_p^ambient, one per echelon pattern.
+def echelon_bases(p: int, ambient: int):
+    """Yield (pivots, bases) once per echelon pattern of F_p^ambient.
 
-    Enumeration order is deterministic: by dimension, then pivot columns,
-    then free entries.  Counts grow like Gaussian binomials, so keep the
+    bases has shape (count, len(pivots), ambient) and holds the reduced
+    echelon basis of every subspace with those pivot columns.  Patterns
+    come by dimension, then pivot columns in ``itertools.combinations``
+    order; within a pattern the free entries, taken row by row, count up
+    in base p with the first one most significant.  A pattern of
+    dimension k holds up to p^(k(ambient - k)) bases, so keep the
     ambient dimension small.
     """
     p = check_odd_prime(p)
@@ -457,10 +463,27 @@ def all_subspaces(p: int, ambient: int):
                 for c in range(pivots[r] + 1, ambient)
                 if c not in pivot_set
             ]
-            for values in itertools.product(range(p), repeat=len(slots)):
-                basis = np.zeros((k, ambient), dtype=np.int64)
-                for r, pc in enumerate(pivots):
-                    basis[r, pc] = 1
-                for (r, c), val in zip(slots, values):
-                    basis[r, c] = val
-                yield Subspace(p, ambient, basis)
+            count = p ** len(slots)
+            bases = np.zeros((count, k, ambient), dtype=np.int64)
+            bases[:, range(k), pivots] = 1
+            if slots:
+                rows, cols = zip(*slots)
+                bases[:, rows, cols] = all_vectors(p, len(slots))
+            yield pivots, bases
+
+
+def all_vectors(p: int, k: int) -> np.ndarray:
+    """Every vector of F_p^k as the rows of a (p^k, k) array, in
+    ``itertools.product`` order: row r holds the base-p digits of r."""
+    return np.arange(p**k, dtype=np.int64)[:, None] // p ** np.arange(k - 1, -1, -1, dtype=np.int64) % p
+
+
+def all_subspaces(p: int, ambient: int):
+    """Yield every subspace of F_p^ambient, in ``echelon_bases`` order.
+
+    Counts grow like Gaussian binomials, so keep the ambient dimension
+    small.
+    """
+    for _, bases in echelon_bases(p, ambient):
+        for basis in bases:
+            yield Subspace(p, ambient, basis)

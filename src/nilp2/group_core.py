@@ -20,7 +20,8 @@ Arithmetic runs in int64.  The largest sums, in ``_delta``, ``_kappa``,
 ``hom_from_images`` and the element tables, add up to n(n - 1) products of
 three residues, so a presentation with n(n - 1)(p - 1)^3 >= 2^63 is
 refused with ModulusTooLarge before any arithmetic.  Each such sum is two
-unreduced products (``_pair_sum``): the left vectors against the table
+unreduced products (``_pair_sum``, or ``_paired`` for matched pairs of
+vectors, as in the subgroup enumeration): the left vectors against the table
 flattened to n x nm, then the right vectors against that.  The tables
 vanish on the diagonal, so an entry of the first product has at most
 n - 1 terms, and neither product leaves the bound.
@@ -44,7 +45,16 @@ from .errors import (
     PresentationMismatch,
     SpanDeficit,
 )
-from .fplinalg import Subspace, check_int64, check_odd_prime, kernel_basis, rref, solve_matrix
+from .fplinalg import (
+    Subspace,
+    all_vectors,
+    check_int64,
+    check_odd_prime,
+    echelon_bases,
+    kernel_basis,
+    rref,
+    solve_matrix,
+)
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -266,6 +276,15 @@ def _pair_sum(table: np.ndarray, p: int, a: np.ndarray, b: np.ndarray) -> np.nda
     n, _, m = table.shape
     left = (a @ table.reshape(n, n * m)).reshape(a.shape[:-1] + (n, m))
     out = b @ left
+    return np.mod(out, p, out=out)
+
+
+def _paired(table: np.ndarray, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over j, i of a_j * b_i * table[j, i], mod p, for stacks a and b
+    of the same shape (..., n), pair by pair: shape (..., m)."""
+    n, _, m = table.shape
+    left = (a @ table.reshape(n, n * m)).reshape(a.shape[:-1] + (n, m))
+    out = (b[..., None, :] @ left)[..., 0, :]
     return np.mod(out, p, out=out)
 
 
@@ -539,7 +558,8 @@ def identity_map(group: GroupPresentation) -> GeneratorMap:
 
 @dataclass(frozen=True)
 class MonoResult:
-    """Outcome of an injectivity check: mono, not_mono (with witness), or undetermined."""
+    """Outcome of an injectivity check: mono, or not_mono with a nontrivial
+    kernel element as witness."""
 
     status: str
     witness: GroupElement | None = None
@@ -552,33 +572,56 @@ def _rank(a: np.ndarray, p: int) -> int:
     return len(pivots)
 
 
-def is_monomorphism(f: GeneratorMap, cap: int = DEFAULT_ORDER_CAP) -> MonoResult:
-    """Injectivity certificate for a consistent generator map.
+def is_monomorphism(f: GeneratorMap) -> MonoResult:
+    """Exact injectivity test for a consistent generator map.
 
-    If both the abelianized map and the induced derived map are injective
-    the map is a monomorphism (normal forms map to distinct normal forms).
-    Otherwise fall back to a brute-force kernel scan when the domain order
-    is within cap; above the cap the status is undetermined.
+    If both the abelianized map A and the induced derived map are
+    injective, normal forms map to distinct normal forms.  Otherwise every
+    kernel element lies in K = {(k, w) : A k = 0}, which f maps into the
+    abelian derived subgroup of the codomain.  So f is injective iff K is
+    abelian, i.e. kappa vanishes on ker A, and f is injective on K, a
+    linear map on its basis: the elements (k, 0) for k in a basis of ker A,
+    then z_1..z_m.  The witness of a failure is a commutator of two basis
+    elements, or the element a linear dependency among the images names.
     """
     if not f.consistent:
         raise InconsistentMap("injectivity is undefined for inconsistent maps")
-    p = f.domain.p
+    dom = f.domain
+    p = dom.p
     if (
-        _rank(f.abelianized_matrix, p) == f.domain.n
-        and _rank(f.commutator_matrix, p) == f.domain.m
+        _rank(f.abelianized_matrix, p) == dom.n
+        and _rank(f.commutator_matrix, p) == dom.m
     ):
         return MonoResult("mono")
-    if f.domain.order <= cap:
-        for x in f.domain.elements():
-            if x.is_identity:
-                continue
-            if f.apply(x).is_identity:
-                return MonoResult("not_mono", x)
+    ker = kernel_basis(f.abelianized_matrix, p)
+    lifts = [dom.element(k, (0,) * dom.m) for k in ker]
+    clash = np.argwhere(_kappa(dom, ker, ker).any(axis=2))
+    if clash.size:
+        a, b = clash[0]
+        return MonoResult("not_mono", commutator(lifts[a], lifts[b]))
+    images = np.array([f.apply(x).w for x in lifts], dtype=np.int64).reshape(len(lifts), f.codomain.m)
+    relations = kernel_basis(np.concatenate([images.T, f.commutator_matrix], axis=1), p)
+    if not len(relations):
         return MonoResult("mono")
-    return MonoResult("undetermined")
+    coeffs = relations[0].tolist()
+    witness = dom.element((0,) * dom.n, coeffs[len(lifts) :])
+    for x, c in zip(lifts, coeffs):
+        witness = multiply(witness, power(x, c))
+    return MonoResult("not_mono", witness)
 
 
 # -- small-order element tables and subgroup enumeration ---------------------
+
+
+def _weights(group: GroupPresentation) -> np.ndarray:
+    """Place values of the digits (v_1..v_n, w_1..w_m) of an element index."""
+    return group.p ** np.arange(group.order_exp - 1, -1, -1, dtype=np.int64)
+
+
+def _decode(group: GroupPresentation, indices) -> tuple:
+    """The elements with the given indices."""
+    digits = np.asarray(indices, dtype=np.int64).reshape(-1, 1) // _weights(group) % group.p
+    return tuple(GroupElement(group, tuple(row[: group.n]), tuple(row[group.n :])) for row in digits.tolist())
 
 
 class _ElementTables:
@@ -594,12 +637,10 @@ class _ElementTables:
     def __init__(self, group: GroupPresentation):
         p, n, m = group.p, group.n, group.m
         size = group.order
-        vecs = np.array(
-            list(itertools.product(range(p), repeat=n + m)), dtype=np.int64
-        ).reshape(size, n + m)
+        vecs = all_vectors(p, n + m)
         v = vecs[:, :n]
         w = vecs[:, n:]
-        weights = p ** np.arange(n + m - 1, -1, -1, dtype=np.int64)
+        weights = _weights(group)
         # In place, to hold few size x size x m temporaries at once.
         ww = _delta(group, v, v)
         ww += w[:, None, :]
@@ -619,12 +660,7 @@ class _ElementTables:
         self.m = m
 
     def decode(self, index: int) -> GroupElement:
-        row = self.vecs[index]
-        return GroupElement(
-            self.group,
-            tuple(int(x) for x in row[: self.n]),
-            tuple(int(x) for x in row[self.n :]),
-        )
+        return _decode(self.group, index)[0]
 
 
 @lru_cache(maxsize=16)
@@ -634,7 +670,8 @@ def _tables(group: GroupPresentation) -> _ElementTables:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Subgroup of a small presentation, as element indices plus generators."""
+    """Subgroup of a small presentation, as element indices (numbered as in
+    the element tables) plus generators."""
 
     group: GroupPresentation
     element_indices: frozenset
@@ -645,20 +682,17 @@ class Subgroup:
         return len(self.element_indices)
 
     def generators(self):
-        t = _tables(self.group)
-        return tuple(t.decode(i) for i in self.generator_indices)
+        return _decode(self.group, self.generator_indices)
 
     def elements(self):
-        t = _tables(self.group)
-        return tuple(t.decode(i) for i in sorted(self.element_indices))
+        return _decode(self.group, sorted(self.element_indices))
 
     def contains(self, other: "Subgroup") -> bool:
         return other.element_indices <= self.element_indices
 
     def derived_subspace(self) -> Subspace:
         """Span of the commutators of the stored generators."""
-        t = _tables(self.group)
-        gens = t.vecs[list(self.generator_indices), : self.group.n]
+        gens = np.array([g.v for g in self.generators()], dtype=np.int64).reshape(-1, self.group.n)
         rows = _kappa(self.group, gens, gens)[np.triu_indices(len(gens), 1)]
         return Subspace(self.group.p, self.group.m, rows)
 
@@ -669,42 +703,69 @@ class Subgroup:
 def enumerate_subgroups(group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP):
     """Complete, canonically sorted list of subgroups of a small group.
 
-    Grows subgroups layer by layer: a subgroup of order p^(k+1) is always
-    generated by one of its (normal, index-p) subgroups of order p^k plus
-    one extra element that normalizes it, which in class 2 reduces to the
-    commutator test [h, g] in H on generators.
+    Every subgroup H is exactly one triple (U, W, phi): U <= F_p^n is its
+    image modulo the derived subgroup, W = H inter G' contains
+    kappa(U, U), and phi: U -> F_p^m is linear with values in the
+    non-pivot coordinates of W's echelon basis.  Then
+
+        H = {(u, delta(u, u)/2 + phi(u) + w) : u in U, w in W},
+
+    because u -> (u, delta(u, u)/2) is a homomorphism modulo kappa(U, U)
+    (p is odd), and the non-pivot coordinates give one phi per class of
+    maps modulo W.  One batch of array work per pair of echelon patterns,
+    one for U and one for W, builds the element indices of every such H
+    (numbered as in the element tables).  H is generated by the lifts of
+    U's basis followed by W's basis.  Subgroups are sorted by order, then
+    by their sorted element indices.
     """
     if group.order > cap:
         raise OrderExceedsCap(f"group order {group.order} exceeds enumeration cap {cap}")
-    t = _tables(group)
-    size = t.size
-    trivial = Subgroup(group, frozenset((t.identity,)), ())
-    found = {trivial.element_indices: trivial}
-    layer = [trivial]
-    while layer:
-        fresh = {}
-        for sub in sorted(layer, key=Subgroup.sort_key):
-            fs = sub.element_indices
-            members = np.zeros(size, dtype=bool)
-            members[list(fs)] = True
-            candidates = ~members
-            for h in sub.generator_indices:
-                candidates &= members[t.comm[h]]
-            base = np.array(sorted(fs), dtype=np.int64)
-            covered = set()
-            for g in np.nonzero(candidates)[0].tolist():
-                if g in covered:
-                    continue
-                col = t.mul[:, g]
-                elems = set(fs)
-                cur = base
-                for _ in range(group.p - 1):
-                    cur = col[cur]
-                    elems.update(cur.tolist())
-                key = frozenset(elems)
-                covered.update(elems)
-                if key not in found and key not in fresh:
-                    fresh[key] = Subgroup(group, key, sub.generator_indices + (g,))
-        found.update(fresh)
-        layer = list(fresh.values())
-    return tuple(sorted(found.values(), key=Subgroup.sort_key))
+    p, n, m = group.p, group.n, group.m
+    weights = _weights(group)
+    v_weights, w_weights = weights[:n], weights[n:]
+    half = (p + 1) // 2
+    derived = [
+        (pivots, bases, np.mod(all_vectors(p, len(pivots)) @ bases, p))
+        for pivots, bases in echelon_bases(p, m)
+    ]
+    # Per log_p of the order, the (elements, generators) arrays of each batch.
+    found = [[] for _ in range(n + m + 1)]
+    for _, u_bases in echelon_bases(p, n):
+        k = u_bases.shape[1]
+        coeffs = all_vectors(p, k)
+        u = np.mod(coeffs @ u_bases, p)
+        v_index = u @ v_weights
+        # The derived part of the lift (u, delta(u, u)/2), at phi = 0.
+        lift = _paired(group.delta_table(), p, u, u) * half % p
+        # Row p^(k-1-i) of coeffs is the i-th unit vector.
+        units = p ** np.arange(k - 1, -1, -1)
+        left, right = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2).T
+        brackets = _paired(group.kappa_table(), p, u_bases[:, left], u_bases[:, right])
+        for w_pivots, w_bases, w_elements in derived:
+            free = [c for c in range(m) if c not in w_pivots]
+            # kappa(U, U) <= W iff no bracket leaves a residue on W's free coordinates.
+            residue = brackets[:, None, :, free] - brackets[:, None, :, w_pivots] @ w_bases[None, :, :, free]
+            ui, wi = np.nonzero(~np.mod(residue, p).any(axis=(2, 3)))
+            if not ui.size:
+                continue
+            count = p ** (k * len(free))
+            phis = np.zeros((count, k, m), dtype=np.int64)
+            phis[:, :, free] = all_vectors(p, k * len(free)).reshape(count, k, len(free))
+            # Axes: the (U, W) pair, phi, u in U, then w in W.
+            section = lift[ui][:, None] + (coeffs @ phis)[None]
+            w = section[:, :, :, None, :] + w_elements[wi][:, None, None]
+            elements = v_index[ui][:, None, :, None] + np.mod(w, p) @ w_weights
+            elements = elements.reshape(-1, p ** (k + len(w_pivots)))
+            elements.sort(axis=1)
+            lifts = v_index[ui][:, None, units] + np.mod(section[:, :, units], p) @ w_weights
+            spans = np.broadcast_to((w_bases[wi] @ w_weights)[:, None], lifts.shape[:2] + (len(w_pivots),))
+            gens = np.concatenate([lifts, spans], axis=2).reshape(len(elements), -1)
+            found[k + len(w_pivots)].append((elements, gens))
+    out = []
+    for batches in found:
+        elements = np.concatenate([e for e, _ in batches])
+        gens = np.concatenate([g for _, g in batches])
+        ordering = np.lexsort(elements.T[::-1])
+        for elems, gen in zip(elements[ordering].tolist(), gens[ordering].tolist()):
+            out.append(Subgroup(group, frozenset(elems), tuple(gen)))
+    return tuple(out)

@@ -1,0 +1,60 @@
+"""Brute-force oracles for desk-scale differential tests: subgroup
+enumeration by coset growth and injectivity by a kernel scan."""
+
+import numpy as np
+
+from nilp2.errors import OrderExceedsCap
+from nilp2.group_core import DEFAULT_ORDER_CAP, GroupPresentation, Subgroup, _tables
+
+
+def reference_subgroups(group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP):
+    """Complete, canonically sorted list of subgroups of a small group.
+
+    Grows subgroups layer by layer: a subgroup of order p^(k+1) is always
+    generated by one of its (normal, index-p) subgroups of order p^k plus
+    one extra element that normalizes it, which in class 2 reduces to the
+    commutator test [h, g] in H on generators.
+    """
+    if group.order > cap:
+        raise OrderExceedsCap(f"group order {group.order} exceeds enumeration cap {cap}")
+    t = _tables(group)
+    size = t.size
+    trivial = Subgroup(group, frozenset((t.identity,)), ())
+    found = {trivial.element_indices: trivial}
+    layer = [trivial]
+    while layer:
+        fresh = {}
+        for sub in sorted(layer, key=Subgroup.sort_key):
+            fs = sub.element_indices
+            members = np.zeros(size, dtype=bool)
+            members[list(fs)] = True
+            candidates = ~members
+            for h in sub.generator_indices:
+                candidates &= members[t.comm[h]]
+            base = np.array(sorted(fs), dtype=np.int64)
+            covered = set()
+            for g in np.nonzero(candidates)[0].tolist():
+                if g in covered:
+                    continue
+                col = t.mul[:, g]
+                elems = set(fs)
+                cur = base
+                for _ in range(group.p - 1):
+                    cur = col[cur]
+                    elems.update(cur.tolist())
+                key = frozenset(elems)
+                covered.update(elems)
+                if key not in found and key not in fresh:
+                    fresh[key] = Subgroup(group, key, sub.generator_indices + (g,))
+        found.update(fresh)
+        layer = list(fresh.values())
+    return tuple(sorted(found.values(), key=Subgroup.sort_key))
+
+
+def brute_force_mono(f) -> str:
+    """"mono" or "not_mono" for a consistent map, by applying it to every
+    element of the domain."""
+    for x in f.domain.elements():
+        if not x.is_identity and f.apply(x).is_identity:
+            return "not_mono"
+    return "mono"

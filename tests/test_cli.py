@@ -14,7 +14,7 @@ from nilp2.fileformats import (
     parse_identification_text,
 )
 from nilp2.group_core import cyclic, elementary_abelian, hom_from_images
-from nilp2.products import Identification, nilpotent2_product
+from nilp2.products import Identification, direct_product, nilpotent2_product
 from nilp2.selfcheck import random_identification, random_presentation
 
 HEISENBERG_FILE = "nilp2 v1\np 3\nn 2\nm 1\nc 2 1 1\n"
@@ -202,6 +202,20 @@ def test_product_command_and_verify_embed(tmp_path, capsys):
     bad_map = write(tmp_path, "bad.map", "gen 1 -> 0 0 | 0\n")
     assert main(["verify-embed", a, out_path, "--map", bad_map]) == 3
     assert "embedding_ok = false" in capsys.readouterr().out
+
+
+def test_verify_embed_has_no_order_cap(tmp_path, capsys, monkeypatch):
+    # C_3^6 -> H_3 x C_3^5, x1 to the central z: injective, although the
+    # abelianized map is not, and the domain has order 729.
+    dom = elementary_abelian(3, 6)
+    cod = direct_product(heisenberg(3), elementary_abelian(3, 5)).group
+    images = [cod.element((0,) * 7, (1,))] + [cod.generator(i) for i in range(3, 8)]
+    sub = write(tmp_path, "sub.grp", format_group(dom))
+    big = write(tmp_path, "big.grp", format_group(cod))
+    gmap = write(tmp_path, "f.map", format_generator_map(hom_from_images(dom, cod, images)))
+    monkeypatch.setenv("NILP2_MAX_ORDER", "1")
+    assert main(["verify-embed", sub, big, "--map", gmap]) == 0
+    assert capsys.readouterr().out == "embedding_ok = true\n"
 
 
 def test_product_identify_usage(tmp_path):

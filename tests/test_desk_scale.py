@@ -1,16 +1,19 @@
-"""Desk-scale brute force against plain references: the decomposition
-search against the pair-by-pair loop, and the element tables against the
-element arithmetic."""
+"""Desk-scale brute force against plain references: the subgroup
+enumeration against coset growth, the decomposition search against the
+pair-by-pair loop, and the element tables against the element
+arithmetic."""
 
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nilp2.capability import central_decomposition_search
 from nilp2.constructions import extraspecial_p5, heisenberg
+from nilp2.errors import SpanDeficit
 from nilp2.group_core import (
+    GroupPresentation,
     _tables,
     commutator,
     cyclic,
@@ -20,6 +23,7 @@ from nilp2.group_core import (
 )
 from nilp2.products import Identification, amalgamated_coproduct, direct_product
 from nilp2.selfcheck import rebase
+from oracles import reference_subgroups
 from test_capability import _random_invertible
 
 
@@ -43,6 +47,97 @@ SEARCH_GROUPS = (
     + [elementary_abelian(5, k) for k in range(1, 4)]
     + [H3, heisenberg(5), E5, H3_C3, H3_C3_2, AMALGAM]
 )
+
+
+# -- subgroup enumeration -----------------------------------------------------
+
+
+def _assert_same_subgroups(group):
+    got = enumerate_subgroups(group)
+    assert [s.element_indices for s in got] == [s.element_indices for s in reference_subgroups(group)]
+    return got
+
+
+@pytest.mark.parametrize("group", SEARCH_GROUPS, ids=_name)
+def test_enumeration_matches_coset_growth(group):
+    _assert_same_subgroups(group)
+
+
+@settings(max_examples=20, deadline=None)
+@given(group=st.sampled_from(SEARCH_GROUPS), seed=st.integers(0, 2**32 - 1))
+def test_enumeration_matches_coset_growth_on_rebased_presentations(group, seed):
+    rng = random.Random(seed)
+    _assert_same_subgroups(rebase(group, _random_invertible(rng, group.p, group.n)))
+
+
+@st.composite
+def desk_presentations(draw):
+    """Presentations of order at most 243 with p in {3, 5}; with
+    ``central``, a direct factor C_p makes Z(G) exceed G'."""
+    p = draw(st.sampled_from([3, 5]))
+    top = 5 if p == 3 else 3
+    central = draw(st.booleans())
+    n = draw(st.integers(1, top - central))
+    m = draw(st.integers(0, min(n * (n - 1) // 2, top - central - n)))
+    pairs = [(j, i) for j in range(2, n + 1) for i in range(1, j)]
+    c = {pair: draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)) for pair in pairs}
+    try:
+        group = GroupPresentation(p, n, m, c)
+    except SpanDeficit:
+        assume(False)
+    return direct_product(group, cyclic(p)).group if central else group
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=desk_presentations())
+def test_enumeration_matches_coset_growth_on_random_presentations(group):
+    assert group.order <= 243
+    _assert_same_subgroups(group)
+
+
+def _closure(t, gens):
+    seen = np.zeros(t.size, dtype=bool)
+    seen[t.identity] = True
+    frontier = np.array([t.identity])
+    while frontier.size:
+        reached = t.mul[frontier][:, list(gens)].ravel()
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    return frozenset(np.flatnonzero(seen).tolist())
+
+
+@pytest.mark.parametrize("group", SEARCH_GROUPS, ids=_name)
+def test_generators_close_to_the_element_set(group):
+    t = _tables(group)
+    for sub in enumerate_subgroups(group):
+        assert _closure(t, sub.generator_indices) == sub.element_indices
+
+
+def _gaussian_sum(p, k):
+    """Number of subspaces of F_p^k."""
+    total = 0
+    for d in range(k + 1):
+        num = den = 1
+        for i in range(d):
+            num *= p ** (k - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 1), (5, 2), (5, 3)])
+def test_subgroup_count_of_elementary_abelian(p, k):
+    assert len(enumerate_subgroups(elementary_abelian(p, k))) == _gaussian_sum(p, k)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_subgroup_count_of_heisenberg(p):
+    rng = random.Random(p)
+    for g in (heisenberg(p), rebase(heisenberg(p), _random_invertible(rng, p, 2))):
+        assert len(enumerate_subgroups(g)) == p * p + 2 * p + 4
+
+
+# -- decomposition search -------------------------------------------------------
 
 
 def reference_search(group):

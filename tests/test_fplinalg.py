@@ -8,7 +8,9 @@ from nilp2.errors import AmbientMismatch, ModulusTooLarge, NotOddPrime
 from nilp2.fplinalg import (
     Subspace,
     all_subspaces,
+    all_vectors,
     check_odd_prime,
+    echelon_bases,
     is_odd_prime,
     kernel_basis,
     rref,
@@ -173,6 +175,52 @@ def test_all_subspaces_counts():
     assert sum(1 for _ in all_subspaces(3, 4)) == 212
     dims = [s.dim for s in all_subspaces(3, 2)]
     assert dims.count(1) == 4
+
+
+# The yield order of all_subspaces before it ran on echelon_bases.
+SUBSPACES_3_3 = [
+    (),
+    ((1, 0, 0),), ((1, 0, 1),), ((1, 0, 2),), ((1, 1, 0),), ((1, 1, 1),), ((1, 1, 2),),
+    ((1, 2, 0),), ((1, 2, 1),), ((1, 2, 2),), ((0, 1, 0),), ((0, 1, 1),), ((0, 1, 2),),
+    ((0, 0, 1),),
+    ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 1)), ((1, 0, 0), (0, 1, 2)),
+    ((1, 0, 1), (0, 1, 0)), ((1, 0, 1), (0, 1, 1)), ((1, 0, 1), (0, 1, 2)),
+    ((1, 0, 2), (0, 1, 0)), ((1, 0, 2), (0, 1, 1)), ((1, 0, 2), (0, 1, 2)),
+    ((1, 0, 0), (0, 0, 1)), ((1, 1, 0), (0, 0, 1)), ((1, 2, 0), (0, 0, 1)),
+    ((0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+]
+SUBSPACES_5_2 = [
+    (),
+    ((1, 0),), ((1, 1),), ((1, 2),), ((1, 3),), ((1, 4),), ((0, 1),),
+    ((1, 0), (0, 1)),
+]
+
+
+@pytest.mark.parametrize("p, ambient, expected", [(3, 3, SUBSPACES_3_3), (5, 2, SUBSPACES_5_2)])
+def test_all_subspaces_order(p, ambient, expected):
+    assert [s.basis_tuples() for s in all_subspaces(p, ambient)] == expected
+
+
+@pytest.mark.parametrize("p, ambient", [(3, 0), (3, 4), (5, 3), (7, 2)])
+def test_echelon_bases_are_reduced_and_complete(p, ambient):
+    seen = set()
+    for pivots, bases in echelon_bases(p, ambient):
+        assert bases.shape[1:] == (len(pivots), ambient)
+        for basis in bases:
+            space = Subspace(p, ambient, basis)
+            assert space.pivots == pivots
+            assert np.array_equal(space.basis, basis)
+            seen.add(space)
+    gaussian = sum(
+        np.prod([(p ** (ambient - i) - 1) / (p ** (i + 1) - 1) for i in range(k)]) for k in range(ambient + 1)
+    )
+    assert len(seen) == round(gaussian)
+
+
+def test_all_vectors_counts_in_base_p():
+    assert all_vectors(3, 0).shape == (1, 0)
+    assert all_vectors(3, 2).tolist() == [[a, b] for a in range(3) for b in range(3)]
 
 
 # -- rref and kernel_basis against a plain reference elimination -------------

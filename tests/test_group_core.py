@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilp2.constructions import extraspecial_p5, heisenberg
 from nilp2.errors import (
@@ -17,6 +18,7 @@ from nilp2.errors import (
 from nilp2.fplinalg import Subspace
 from nilp2.group_core import (
     GroupPresentation,
+    MonoResult,
     center,
     commutator,
     cyclic,
@@ -31,6 +33,9 @@ from nilp2.group_core import (
     quotient_by_central,
     validate,
 )
+from nilp2.products import direct_product
+from nilp2.selfcheck import random_presentation
+from oracles import brute_force_mono
 
 BATTERY = [
     cyclic(3),
@@ -279,12 +284,83 @@ def test_hom_apply_respects_multiplication():
 
 def test_injective_hom_without_injective_abelianized_part():
     # x2 maps into the derived subgroup: the abelianized matrix is singular
-    # but the map embeds C_3^2 anyway; the brute-force scan must see that.
+    # but the map embeds C_3^2 anyway; the kernel test must see that.
     g = elementary_abelian(3, 2)
     h = heisenberg(3)
     f = hom_from_images(g, h, [h.generator(1), h.element((0, 0), (1,))])
     assert f.consistent
     assert is_monomorphism(f).status == "mono"
+
+
+def test_injective_hom_of_order_729():
+    # C_3^6 -> H_3 x C_3^5: x1 to the central z, x_i to the C_3^5 factor.
+    dom = elementary_abelian(3, 6)
+    cod = direct_product(heisenberg(3), elementary_abelian(3, 5)).group
+    images = [cod.element((0,) * 7, (1,))] + [cod.generator(i) for i in range(3, 8)]
+    f = hom_from_images(dom, cod, images)
+    assert is_monomorphism(f) == MonoResult("mono")
+
+
+def test_noncommuting_kernel_gives_a_commutator_witness():
+    h = heisenberg(3)
+    z = h.element((0, 0), (1,))
+    f = hom_from_images(h, h, [z, z])
+    mono = is_monomorphism(f)
+    assert mono.status == "not_mono"
+    assert mono.witness.v == (0, 0) and any(mono.witness.w)
+    assert f.apply(mono.witness).is_identity
+
+
+@st.composite
+def consistent_maps(draw):
+    """Consistent maps from a group of order at most 243, p in {3, 5}.
+
+    The images come first, as products of powers of a few random elements
+    and a derived element.  The domain's c(j, i) is then the coordinate
+    vector of [img_j, img_i] in the span of all these commutators, padded
+    with random entries, so the induced derived map exists."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([3, 5]))
+    top = 5 if p == 3 else 3
+    cod = random_presentation(rng, p, max_n=4)
+    while True:
+        n = rng.randint(1, top)
+        pool = [cod.random_element(rng) for _ in range(rng.randint(1, 3))]
+        images = []
+        for _ in range(n):
+            img = cod.element((0,) * cod.n, [rng.randrange(p) for _ in range(cod.m)])
+            for x in pool:
+                img = multiply(img, power(x, rng.randrange(p)))
+            images.append(img)
+        pairs = [(j, i) for j in range(2, n + 1) for i in range(1, j)]
+        brackets = {(j, i): commutator(images[j - 1], images[i - 1]).w for j, i in pairs}
+        span = Subspace(p, cod.m, list(brackets.values()))
+        if n + span.dim > top:
+            continue
+        m = span.dim + rng.randint(0, top - n - span.dim)
+        c = {
+            pair: [vec[k] for k in span.pivots] + [rng.randrange(p) for _ in range(m - span.dim)]
+            for pair, vec in brackets.items()
+        }
+        try:
+            dom = GroupPresentation(p, n, m, c)
+        except SpanDeficit:
+            continue
+        f = hom_from_images(dom, cod, images)
+        assert f.consistent
+        return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=consistent_maps())
+def test_monomorphism_matches_kernel_scan(f):
+    mono = is_monomorphism(f)
+    assert mono.status == brute_force_mono(f)
+    if mono.status == "not_mono":
+        assert not mono.witness.is_identity
+        assert f.apply(mono.witness).is_identity
+    else:
+        assert mono.witness is None
 
 
 # -- subgroup enumeration --------------------------------------------------------
