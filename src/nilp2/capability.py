@@ -325,13 +325,13 @@ def epicentre_cross_check(group: GroupPresentation, max_derived_dim: int = 4) ->
     failures = []
     checked = 0
     for sub in all_subspaces(group.p, group.m):
-        quotient, _ = quotient_by_central(group, sub)
+        quotient = quotient_by_central(group, sub)
         checked += 1
         if capability_verdict(quotient).status == CAPABLE and not sub.contains(zstar):
             failures.append(
                 f"capable quotient by {sub.basis_tuples()} does not contain the epicentre"
             )
-    by_epi, _ = quotient_by_central(group, zstar)
+    by_epi = quotient_by_central(group, zstar)
     checked += 1
     if capability_verdict(by_epi).status != CAPABLE:
         failures.append("quotient by the computed epicentre is not capable")

@@ -5,8 +5,8 @@ error, 3 verification failure.  Reports are `key = value` lines in a fixed
 key order so identical inputs produce byte-identical output; subspace
 bases print as echelon rows joined by commas.  The only recognized
 environment variable is NILP2_MAX_ORDER, which overrides the subgroup
-enumeration cap of the search-backed commands (rp-check, extend and
-decompose); capability verdicts, epicentres and embedding checks have no
+enumeration cap of the search-backed commands rp-check and decompose;
+capability verdicts, epicentres, extensions and embedding checks have no
 cap.
 """
 
@@ -189,11 +189,10 @@ def cmd_product(args) -> int:
 
 def cmd_extend(args) -> int:
     g = fileformats.parse_group_file(args.file)
-    cap = _order_cap()
     if args.mode == "capable":
-        report = build_capable_extension(g, cap)
+        report = build_capable_extension(g)
     else:
-        report = build_noncapable_extension(g, cap)
+        report = build_noncapable_extension(g)
     fileformats.write_group_file(args.output, report.output_group)
     if args.map:
         fileformats.write_map_file(args.map, report.embedding)

@@ -5,6 +5,11 @@ restricted class; build_noncapable_extension embeds it in a non-capable
 one.  Both return a self-contained report carrying the presentations, the
 embedding, the recomputable verdicts, and the rank bounds
 (+2/+3 respectively +6/+7 on the abelianized rank, by branch).
+
+Each output is an amalgamated coproduct of nontrivial factors, which
+rp_membership places in the restricted class by provenance before any
+subgroup search, so neither the builders nor verify_extension take an
+order cap.
 """
 
 from __future__ import annotations
@@ -24,15 +29,7 @@ from .capability import (
 )
 from .errors import Nilp2Error, TrivialInput
 from .fplinalg import Subspace
-from .group_core import (
-    DEFAULT_ORDER_CAP,
-    GeneratorMap,
-    GroupPresentation,
-    cyclic,
-    hom_from_images,
-    identity_map,
-    is_monomorphism,
-)
+from .group_core import GeneratorMap, GroupPresentation, cyclic, hom_from_images, is_monomorphism
 from .products import Identification, amalgamated_coproduct, central_product_identified, nilpotent2_product
 
 __all__ = [
@@ -110,10 +107,13 @@ class ExtensionReport:
     method_trail: tuple
 
 
-def _finish_report(mode, branch, trail, source, target, embedding, identified, cap):
+def _finish_report(mode, branch, trail, source, target, identified):
+    # Every product lists its left factor's generators first, so the input
+    # sits in the output as the inclusion x_i -> x_i.
+    embedding = hom_from_images(source, target, target.generators()[: source.n])
     mono = is_monomorphism(embedding)
     verdict = capability_verdict(target)
-    rp = rp_membership(target, cap)
+    rp = rp_membership(target)
     claimed = BOUND_BY_BRANCH[(mode, branch)]
     actual = target.n - source.n
     return ExtensionReport(
@@ -133,9 +133,7 @@ def _finish_report(mode, branch, trail, source, target, embedding, identified, c
     )
 
 
-def build_capable_extension(
-    group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP
-) -> ExtensionReport:
+def build_capable_extension(group: GroupPresentation) -> ExtensionReport:
     """Embed the input in a capable group of the restricted class.
 
     If the input is nonabelian and capable it is used directly (+2 rank
@@ -149,13 +147,10 @@ def build_capable_extension(
     trail = []
     if not group.is_abelian and capability_verdict(group).status == CAPABLE:
         base = group
-        into_base = identity_map(group)
         branch = "nonabelian_capable"
         trail.append("base=input")
     else:
-        stage = nilpotent2_product(group, cyclic(group.p))
-        base = stage.group
-        into_base = stage.embed_left
+        base = nilpotent2_product(group, cyclic(group.p)).group
         branch = "augmented"
         trail.append("base=input*C_p")
     glued = _least_nonzero_commutator(base)
@@ -163,14 +158,11 @@ def build_capable_extension(
     ident = Identification(base, free2, (glued,), ((1,),))
     am = amalgamated_coproduct(base, free2, ident)
     trail.append("amalgamate_rank2_free")
-    embedding = into_base.then(am.embed_left)
     identified = _image_line(am.embed_left, glued, group.p)
-    return _finish_report("capable", branch, trail, group, am.group, embedding, identified, cap)
+    return _finish_report("capable", branch, trail, group, am.group, identified)
 
 
-def build_noncapable_extension(
-    group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP
-) -> ExtensionReport:
+def build_noncapable_extension(group: GroupPresentation) -> ExtensionReport:
     """Embed the input in a non-capable group of the restricted class.
 
     A chosen derived element is first glued centrally to the rank-2 free
@@ -184,30 +176,25 @@ def build_noncapable_extension(
         raise TrivialInput("the construction requires a nontrivial input")
     trail = []
     if group.is_abelian:
-        stage = nilpotent2_product(group, cyclic(group.p))
-        base = stage.group
-        into_base = stage.embed_left
+        base = nilpotent2_product(group, cyclic(group.p)).group
         branch = "abelian"
         trail.append("base=input*C_p")
     else:
         base = group
-        into_base = identity_map(group)
         branch = "nonabelian"
         trail.append("base=input")
     glued = _least_nonzero_commutator(base)
     free2 = heisenberg(group.p)
     cp = central_product_identified(base, free2, Identification(base, free2, (glued,), ((1,),)))
     trail.append("central_product_rank2_free")
-    into_mid = into_base.then(cp.embed_left)
     glued_mid = _image_line(cp.embed_left, glued, group.p)
     wide = extraspecial_p5(group.p)
     am = amalgamated_coproduct(
         cp.group, wide, Identification(cp.group, wide, (glued_mid,), ((1,),))
     )
     trail.append("amalgamate_extraspecial_p5")
-    embedding = into_mid.then(am.embed_left)
     identified = _image_line(am.embed_left, glued_mid, group.p)
-    return _finish_report("noncapable", branch, trail, group, am.group, embedding, identified, cap)
+    return _finish_report("noncapable", branch, trail, group, am.group, identified)
 
 
 @dataclass(frozen=True)
@@ -216,7 +203,7 @@ class VerificationOutcome:
     checks: tuple  # of (name, ok, detail)
 
 
-def verify_extension(report: ExtensionReport, cap: int = DEFAULT_ORDER_CAP) -> VerificationOutcome:
+def verify_extension(report: ExtensionReport) -> VerificationOutcome:
     """Recompute every claim of a report from its stored presentations.
 
     Each check is named so tampering is pinpointed; any exception inside a
@@ -266,7 +253,7 @@ def verify_extension(report: ExtensionReport, cap: int = DEFAULT_ORDER_CAP) -> V
         return ok, f"recomputed {fresh.status}/{fresh.method}"
 
     def check_rp():
-        fresh = rp_membership(report.output_group, cap)
+        fresh = rp_membership(report.output_group)
         ok = fresh.status == report.rp.status and fresh.status in (
             "member",
             "member_by_construction",

@@ -46,8 +46,7 @@ again: a min and a max cost about a tenth of a reduction pass.
 Every sum of products of residues must stay below 2^63.  ``rref`` refuses
 a modulus with (p - 1)^2 + p >= 2^63, and ``Subspace`` one with
 ambient * (p - 1)^2 + p >= 2^63, which bounds the sums in
-``reduce_vector`` and ``preimage``; both raise ModulusTooLarge before
-any arithmetic.
+``reduce_vector``; both raise ModulusTooLarge before any arithmetic.
 """
 
 from __future__ import annotations
@@ -411,16 +410,6 @@ class Subspace:
         qb = other.complement_projection()
         stacked = np.concatenate([qa, qb], axis=0)
         return Subspace(self.p, self.ambient, kernel_basis(stacked, self.p))
-
-    def preimage(self, t: np.ndarray) -> "Subspace":
-        """Subspace {x : t @ x lies in this subspace}."""
-        t = np.mod(np.asarray(t, dtype=np.int64), self.p)
-        if t.shape[0] != self.ambient:
-            raise AmbientMismatch(
-                f"map lands in dimension {t.shape[0]}, ambient is {self.ambient}"
-            )
-        q = self.complement_projection()
-        return Subspace(self.p, t.shape[1], kernel_basis(np.mod(q @ t, self.p), self.p))
 
     def basis_tuples(self):
         return tuple(tuple(int(x) for x in row) for row in self.basis)

@@ -418,10 +418,10 @@ def center(group: GroupPresentation) -> CenterInfo:
 def quotient_by_central(group: GroupPresentation, sub: Subspace, label=None, provenance=None):
     """Quotient by a subspace of the derived coordinates.
 
-    Returns (quotient, projection) where the projection is the canonical
-    generator map x_i -> x_i.  The surviving derived coordinates are the
-    non-pivot coordinates of sub's echelon basis, so the construction is
-    reproducible bit for bit.
+    The surviving derived coordinates are the non-pivot coordinates of
+    sub's echelon basis, so the construction is reproducible bit for bit.
+    The canonical projection x_i -> x_i onto the returned quotient q is
+    hom_from_images(group, q, q.generators()).
     """
     if sub.p != group.p or sub.ambient != group.m:
         raise AmbientMismatch(
@@ -431,7 +431,7 @@ def quotient_by_central(group: GroupPresentation, sub: Subspace, label=None, pro
     new_c = {}
     for (j, i), vec in group.c_items:
         new_c[(j, i)] = tuple(int(x) for x in np.mod(q @ np.array(vec, dtype=np.int64), group.p))
-    quotient = GroupPresentation(
+    return GroupPresentation(
         group.p,
         group.n,
         group.m - sub.dim,
@@ -439,8 +439,6 @@ def quotient_by_central(group: GroupPresentation, sub: Subspace, label=None, pro
         label=label if label is not None else (f"{group.label}/N" if group.label else ""),
         provenance=provenance,
     )
-    projection = hom_from_images(group, quotient, quotient.generators())
-    return quotient, projection
 
 
 # -- homomorphisms -----------------------------------------------------------
@@ -480,12 +478,6 @@ class GeneratorMap:
             w = np.mod(self.commutator_matrix @ element.w_array(), self.codomain.p)
             acc = multiply(acc, self.codomain.element((0,) * self.codomain.n, w))
         return acc
-
-    def then(self, second: "GeneratorMap") -> "GeneratorMap":
-        """Composite map: first self, then second."""
-        if second.domain != self.codomain:
-            raise PresentationMismatch("composition endpoints do not match")
-        return hom_from_images(self.domain, second.codomain, [second.apply(im) for im in self.images])
 
     def push_derived(self, vectors) -> Subspace:
         """Image under the induced derived-coordinate map of the span of vectors."""
@@ -565,34 +557,21 @@ class MonoResult:
     witness: GroupElement | None = None
 
 
-def _rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    _, pivots = rref(a, p)
-    return len(pivots)
-
-
 def is_monomorphism(f: GeneratorMap) -> MonoResult:
     """Exact injectivity test for a consistent generator map.
 
-    If both the abelianized map A and the induced derived map are
-    injective, normal forms map to distinct normal forms.  Otherwise every
-    kernel element lies in K = {(k, w) : A k = 0}, which f maps into the
-    abelian derived subgroup of the codomain.  So f is injective iff K is
-    abelian, i.e. kappa vanishes on ker A, and f is injective on K, a
-    linear map on its basis: the elements (k, 0) for k in a basis of ker A,
-    then z_1..z_m.  The witness of a failure is a commutator of two basis
-    elements, or the element a linear dependency among the images names.
+    Every kernel element lies in K = {(k, w) : A k = 0}, for the
+    abelianized map A, and f maps K into the abelian derived subgroup of
+    the codomain.  So f is injective iff K is abelian, i.e. kappa vanishes
+    on ker A, and f is injective on K, a linear map on its basis: the
+    elements (k, 0) for k in a basis of ker A, then z_1..z_m.  The witness
+    of a failure is a commutator of two basis elements, or the element a
+    linear dependency among the images names.
     """
     if not f.consistent:
         raise InconsistentMap("injectivity is undefined for inconsistent maps")
     dom = f.domain
     p = dom.p
-    if (
-        _rank(f.abelianized_matrix, p) == dom.n
-        and _rank(f.commutator_matrix, p) == dom.m
-    ):
-        return MonoResult("mono")
     ker = kernel_basis(f.abelianized_matrix, p)
     lifts = [dom.element(k, (0,) * dom.m) for k in ker]
     clash = np.argwhere(_kappa(dom, ker, ker).any(axis=2))

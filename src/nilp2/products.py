@@ -3,11 +3,13 @@ and the amalgamated coproduct.
 
 Every constructor returns the product presentation together with the two
 canonical embeddings.  Generator order is fixed: the left factor's
-generators always come first.  In the 2-nilpotent product the derived
-space splits as (left block) + (right block) + (tensor block), the tensor
-block holding one coordinate per generator pair (j in right factor, i in
-left factor), ordered lexicographically by (j, i); the coordinate of
-[x_j, x_i] is the corresponding tensor basis vector.
+generators always come first, so each embedding is the inclusion
+x_i -> x_i of the factor's generators, solved once on the final product.
+In the 2-nilpotent product the derived space splits as (left block) +
+(right block) + (tensor block), the tensor block holding one coordinate
+per generator pair (j in right factor, i in left factor), ordered
+lexicographically by (j, i); the coordinate of [x_j, x_i] is the
+corresponding tensor basis vector.
 """
 
 from __future__ import annotations
@@ -111,11 +113,8 @@ def _block_c(a: GroupPresentation, b: GroupPresentation, m_total: int, b_offset:
 
 
 def _embeddings(a, b, product) -> tuple[GeneratorMap, GeneratorMap]:
-    left = hom_from_images(a, product, [product.generator(i) for i in range(1, a.n + 1)])
-    right = hom_from_images(
-        b, product, [product.generator(a.n + i) for i in range(1, b.n + 1)]
-    )
-    return left, right
+    gens = product.generators()
+    return hom_from_images(a, product, gens[: a.n]), hom_from_images(b, product, gens[a.n :])
 
 
 def direct_product(a: GroupPresentation, b: GroupPresentation) -> ProductResult:
@@ -134,13 +133,8 @@ def tensor_pair_index(a: GroupPresentation, b: GroupPresentation, j: int, i: int
     return a.m + b.m + (j - 1) * a.n + (i - 1)
 
 
-def nilpotent2_product(a: GroupPresentation, b: GroupPresentation) -> ProductResult:
-    """Coproduct in the variety of class-<=2 exponent-p groups.
-
-    The derived space gains one fresh coordinate per (right generator,
-    left generator) pair, so m = m_a + m_b + n_a*n_b.
-    """
-    _check_same_p(a, b)
+def _coproduct_c(a: GroupPresentation, b: GroupPresentation):
+    """Derived dimension and commutator map of the 2-nilpotent product."""
     m = a.m + b.m + a.n * b.n
     c = _block_c(a, b, m, a.m)
     for j in range(1, b.n + 1):
@@ -148,6 +142,17 @@ def nilpotent2_product(a: GroupPresentation, b: GroupPresentation) -> ProductRes
             vec = [0] * m
             vec[tensor_pair_index(a, b, j, i)] = 1
             c[(j + a.n, i)] = tuple(vec)
+    return m, c
+
+
+def nilpotent2_product(a: GroupPresentation, b: GroupPresentation) -> ProductResult:
+    """Coproduct in the variety of class-<=2 exponent-p groups.
+
+    The derived space gains one fresh coordinate per (right generator,
+    left generator) pair, so m = m_a + m_b + n_a*n_b.
+    """
+    _check_same_p(a, b)
+    m, c = _coproduct_c(a, b)
     product = GroupPresentation(a.p, a.n + b.n, m, c, label=_pair_label("nil2", a, b))
     left, right = _embeddings(a, b, product)
     return ProductResult(product, left, right)
@@ -184,7 +189,7 @@ def central_product_identified(
     m = a.m + b.m
     c = _block_c(a, b, m, a.m)
     stage = GroupPresentation(a.p, a.n + b.n, m, c)
-    product, _ = quotient_by_central(
+    product = quotient_by_central(
         stage, _glue(a, b, ident, m), label=_pair_label(f"cp{ident.size}", a, b)
     )
     left, right = _embeddings(a, b, product)
@@ -204,13 +209,13 @@ def amalgamated_coproduct(
     _check_identification(a, b, ident)
     if a.order == 1 or b.order == 1:
         raise TrivialFactor("amalgamated coproduct requires nontrivial factors")
-    stage = nilpotent2_product(a, b)
-    product, projection = quotient_by_central(
-        stage.group,
-        _glue(a, b, ident, stage.group.m),
+    m, c = _coproduct_c(a, b)
+    stage = GroupPresentation(a.p, a.n + b.n, m, c)
+    product = quotient_by_central(
+        stage,
+        _glue(a, b, ident, m),
         label=_pair_label(f"amalg{ident.size}", a, b),
         provenance=AMALGAM_PROVENANCE,
     )
-    left = stage.embed_left.then(projection)
-    right = stage.embed_right.then(projection)
+    left, right = _embeddings(a, b, product)
     return ProductResult(product, left, right)

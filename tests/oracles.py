@@ -1,10 +1,11 @@
-"""Brute-force oracles for desk-scale differential tests: subgroup
-enumeration by coset growth and injectivity by a kernel scan."""
+"""Reference implementations for differential tests: subgroup enumeration
+by coset growth, injectivity by a kernel scan, and map composition by
+applying one map to the other's generator images."""
 
 import numpy as np
 
-from nilp2.errors import OrderExceedsCap
-from nilp2.group_core import DEFAULT_ORDER_CAP, GroupPresentation, Subgroup, _tables
+from nilp2.errors import OrderExceedsCap, PresentationMismatch
+from nilp2.group_core import DEFAULT_ORDER_CAP, GroupPresentation, Subgroup, _tables, hom_from_images
 
 
 def reference_subgroups(group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP):
@@ -58,3 +59,18 @@ def brute_force_mono(f) -> str:
         if not x.is_identity and f.apply(x).is_identity:
             return "not_mono"
     return "mono"
+
+
+def compose(f, g):
+    """Composite map: first f, then g."""
+    if g.domain != f.codomain:
+        raise PresentationMismatch("composition endpoints do not match")
+    return hom_from_images(f.domain, g.codomain, [g.apply(im) for im in f.images])
+
+
+def assert_same_map(f, g):
+    """Equal images and equal induced matrices; GeneratorMap equality
+    compares the images only."""
+    assert f == g
+    assert np.array_equal(f.commutator_matrix, g.commutator_matrix)
+    assert np.array_equal(f.abelianized_matrix, g.abelianized_matrix)

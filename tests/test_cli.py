@@ -267,6 +267,23 @@ def test_extend_capable_report_keys_in_order(tmp_path, capsys):
     assert "bound_claimed = 3" in out
 
 
+@pytest.mark.parametrize("mode", ["capable", "noncapable"])
+@pytest.mark.parametrize("text", [HEISENBERG_FILE, format_group(elementary_abelian(3, 2))])
+def test_extend_ignores_the_order_cap(tmp_path, capsys, monkeypatch, mode, text):
+    src = write(tmp_path, "in.grp", text)
+
+    def run(tag):
+        out_path = str(tmp_path / f"{tag}.grp")
+        map_path = str(tmp_path / f"{tag}.map")
+        assert main(["extend", "--mode", mode, src, "-o", out_path, "--map", map_path]) == 0
+        files = [open(path, encoding="utf-8").read() for path in (out_path, map_path)]
+        return [capsys.readouterr().out] + files
+
+    uncapped = run("uncapped")
+    monkeypatch.setenv("NILP2_MAX_ORDER", "1")
+    assert run("capped") == uncapped
+
+
 def test_decompose_command(tmp_path, capsys):
     plane = write(tmp_path, "p.grp", format_group(elementary_abelian(3, 2)))
     assert main(["decompose", plane]) == 0

@@ -1,10 +1,12 @@
 import dataclasses
+import random
 
 import numpy as np
 import pytest
 
 from nilp2.capability import epicentre_in_derived
 from nilp2.constructions import (
+    _least_nonzero_commutator,
     build_capable_extension,
     build_noncapable_extension,
     extraspecial_p5,
@@ -12,9 +14,10 @@ from nilp2.constructions import (
     verify_extension,
 )
 from nilp2.errors import NotOddPrime, TrivialInput
-from nilp2.group_core import GroupPresentation, cyclic, elementary_abelian
+from nilp2.group_core import GroupPresentation, cyclic, elementary_abelian, hom_from_images, identity_map
 from nilp2.products import Identification, central_product_identified, direct_product, nilpotent2_product
-from nilp2.selfcheck import rebase
+from nilp2.selfcheck import _battery_p3, random_presentation, rebase
+from oracles import assert_same_map, compose
 
 
 def test_heisenberg_builder():
@@ -231,3 +234,44 @@ def test_verify_computes_the_epicentre_once(monkeypatch):
     monkeypatch.setattr(constructions, "epicentre_in_derived", counting)
     assert verify_extension(rep).passed
     assert calls == [rep.output_group]
+
+
+def _composite_embedding(rep):
+    """The report's embedding rebuilt as the composite of the maps into
+    each intermediate product, ending with the canonical projection of the
+    last 2-nilpotent product onto the output."""
+    g, out = rep.input_group, rep.output_group
+    if rep.branch in ("augmented", "abelian"):
+        stage = nilpotent2_product(g, cyclic(g.p))
+        base, f = stage.group, stage.embed_left
+    else:
+        base, f = g, identity_map(g)
+    free2 = heisenberg(g.p)
+    if rep.mode == "capable":
+        last = nilpotent2_product(base, free2)
+    else:
+        glued = _least_nonzero_commutator(base)
+        cp = central_product_identified(base, free2, Identification(base, free2, (glued,), ((1,),)))
+        f = compose(f, cp.embed_left)
+        last = nilpotent2_product(cp.group, extraspecial_p5(g.p))
+    f = compose(f, last.embed_left)
+    return compose(f, hom_from_images(last.group, out, out.generators()))
+
+
+def _random_of_rank(rng, p, n):
+    while True:
+        g = random_presentation(rng, p, max_n=n)
+        if g.n == n:
+            return g
+
+
+def test_report_embedding_is_the_composite_through_the_intermediate_products():
+    rng = random.Random(77)
+    inputs = list(_battery_p3())
+    for p in (3, 5, 7):
+        for n in range(1, 6):
+            inputs.append(elementary_abelian(p, n))
+            inputs.append(_random_of_rank(rng, p, n))
+    for g in inputs:
+        for rep in (build_capable_extension(g), build_noncapable_extension(g)):
+            assert_same_map(rep.embedding, _composite_embedding(rep))

@@ -18,7 +18,8 @@ from nilp2.products import (
     direct_product,
     nilpotent2_product,
 )
-from nilp2.selfcheck import random_presentation
+from nilp2.selfcheck import random_identification, random_presentation
+from oracles import assert_same_map, compose
 
 
 def centers(a, b):
@@ -207,3 +208,40 @@ def test_amalgam_provenance_tag():
     res = amalgamated_coproduct(h, h, centers(h, h))
     assert res.group.provenance == "amalgamated_coproduct_nontrivial"
     assert nilpotent2_product(h, h).group.provenance is None
+
+
+def test_amalgam_embeddings_are_the_composite_through_the_stage():
+    # Each embedding of the amalgam is the 2-nilpotent product's embedding
+    # followed by the canonical projection onto the quotient.
+    rng = random.Random(909)
+    pairs = 0
+    while pairs < 120:
+        p = rng.choice((3, 5))
+        a = random_presentation(rng, p, max_n=4)
+        b = random_presentation(rng, p, max_n=4)
+        ident = random_identification(rng, a, b)
+        if a.order == 1 or b.order == 1:
+            continue
+        res = amalgamated_coproduct(a, b, ident)
+        stage = nilpotent2_product(a, b)
+        q = res.group
+        projection = hom_from_images(stage.group, q, q.generators())
+        assert_same_map(res.embed_left, compose(stage.embed_left, projection))
+        assert_same_map(res.embed_right, compose(stage.embed_right, projection))
+        pairs += 1
+
+
+def test_embeddings_are_the_canonical_inclusions():
+    rng = random.Random(910)
+    for _ in range(40):
+        p = rng.choice((3, 5))
+        a = random_presentation(rng, p, max_n=4)
+        b = random_presentation(rng, p, max_n=4)
+        ident = random_identification(rng, a, b)
+        results = [direct_product(a, b), nilpotent2_product(a, b), central_product_identified(a, b, ident)]
+        if a.order > 1 and b.order > 1:
+            results.append(amalgamated_coproduct(a, b, ident))
+        for res in results:
+            gens = res.group.generators()
+            assert res.embed_left.images == gens[: a.n]
+            assert res.embed_right.images == gens[a.n :]
