@@ -8,10 +8,12 @@ from .capability import (
     CapabilityVerdict,
     CentralDecomposition,
     DecompositionSearch,
+    DecompositionVerdict,
     EpicentreCrossCheck,
     JacobiSubspace,
     RpVerdict,
     capability_verdict,
+    central_decomposition,
     central_decomposition_search,
     epicentre_cross_check,
     epicentre_in_derived,

@@ -1,5 +1,6 @@
-"""Capability verdicts, the epicentre of nonabelian groups, the
-restricted-class membership test, and the brute-force search oracles.
+"""Capability verdicts, the epicentre of nonabelian groups, central
+decompositions, the restricted-class membership test, and the brute-force
+search oracle.
 
 The epicentre computation works in the tensor space F_p^m (x) F_p^n,
 flattened with the derived index major and the abelianized index minor:
@@ -20,17 +21,26 @@ the same derived coordinates.  The exterior square of a direct product
 splits (Brown, Johnson and Robertson, J. Algebra 111, 1987) and the
 exterior centre is the epicentre (Ellis, J. London Math. Soc. 51, 1995),
 so Z*(G) = Z*(H) x 1, and the criterion applied to H decides G.
+
+A group with Z(G) = G' is a nontrivial central product iff the algebra
+Sym(kappa) = {F in End V : kappa(Fx, y) = kappa(x, Fy)} holds an idempotent
+other than 0 and 1 (J. B. Wilson, Finding central decompositions of
+p-groups, J. Group Theory 12, 2009; Decomposing p-groups via Jordan
+algebras, J. Algebra 322, 2009): e gives V = eV + (1 - e)V with the two
+summands orthogonal under kappa, and their preimages commute and cover G.
+Every other group decomposes unless it is cyclic or trivial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import itertools
+import random
 
 import numpy as np
 
 from .errors import OrderExceedsCap, PreconditionCenterNotDerived
-from .fplinalg import Subspace, all_subspaces, all_vectors, kernel_basis
+from .fplinalg import Subspace, all_subspaces, all_vectors, kernel_basis, rref, solve_matrix
 from .group_core import (
     DEFAULT_ORDER_CAP,
     GroupPresentation,
@@ -40,16 +50,17 @@ from .group_core import (
     enumerate_subgroups,
     quotient_by_central,
 )
-from .products import AMALGAM_PROVENANCE
 
 __all__ = [
     "CapabilityVerdict",
     "CentralDecomposition",
     "DecompositionSearch",
+    "DecompositionVerdict",
     "EpicentreCrossCheck",
     "JacobiSubspace",
     "RpVerdict",
     "capability_verdict",
+    "central_decomposition",
     "central_decomposition_search",
     "epicentre_cross_check",
     "epicentre_in_derived",
@@ -60,6 +71,12 @@ __all__ = [
 
 CAPABLE = "capable"
 NOT_CAPABLE = "not_capable"
+
+# Sym(kappa) is enumerated only while its p^dim elements, as n x n
+# matrices, hold at most this many entries in all.
+SYM_ENUMERATION_LIMIT = 1 << 18
+# Seed of the test vectors x_1, x_2 of the Sym certificate.
+SYM_SEED = 0
 
 
 def jacobi_vector(group: GroupPresentation, x: int, y: int, z: int) -> np.ndarray:
@@ -230,6 +247,152 @@ def central_decomposition_search(
 
 
 @dataclass(frozen=True)
+class DecompositionVerdict:
+    """Whether G is a nontrivial central product, with a witness.
+
+    The witness subspaces U = ``left`` and W = ``right`` of F_p^n satisfy
+    kappa(U, W) = 0 and U + W = F_p^n, and neither contains the other.  The
+    witness subgroups are their preimages in G, of orders ``left_order``
+    and ``right_order``; ``derived_overlap_dim`` is
+    dim(kappa(U, U) inter kappa(W, W)).  ``sym_dim`` is dim Sym(kappa)
+    when Z(G) = G', and ``limit`` names the limit that left the answer
+    undetermined.
+    """
+
+    status: str  # "found" | "none" | "undetermined"
+    left: Subspace | None = None
+    right: Subspace | None = None
+    left_order: int | None = None
+    right_order: int | None = None
+    derived_overlap_dim: int | None = None
+    sym_dim: int | None = None
+    limit: str | None = None
+
+
+def _found(group, u: Subspace, w: Subspace, overlap: int, sym_dim=None) -> DecompositionVerdict:
+    p, m = group.p, group.m
+    return DecompositionVerdict(
+        "found", u, w, p ** (u.dim + m), p ** (w.dim + m), overlap, sym_dim
+    )
+
+
+def _pairings(kap: np.ndarray, xs: np.ndarray, p: int) -> np.ndarray:
+    """kappa(e_a, x)_t at [k, a, t] for the k-th vector x of xs."""
+    return np.mod(np.einsum("abt,kb->kat", kap, xs), p)
+
+
+def _sym_basis(group: GroupPresentation) -> np.ndarray:
+    """A basis of Sym(kappa), shape (dim, n, n), for a group with Z(G) = G'.
+
+    Let L: u -> (kappa(u, x_i))_i for test vectors x_i.  When L is
+    injective, F in Sym is determined by w_i = F x_i, because
+    L(Fy) = (kappa(y, w_i))_i.  Every F in Sym satisfies the consistency
+    equations kappa(w_j, x_i) = kappa(x_j, w_i), and the identity solves
+    them with w = x.  So if their solutions form a line, dim Sym = 1; L is
+    then injective too, since (u, 0, ...) and (0, u, ...) solve them for
+    every u in ker L.  Otherwise standard basis vectors join the x_i until
+    L is injective, each solution w gives F(w) = L_R^-1 (kappa(., w_i))_R
+    on a set R of independent rows of L, and F(w)^T K_t = K_t F(w) for
+    every derived coordinate t cuts the solutions down to Sym itself.
+    """
+    p, n, m = group.p, group.n, group.m
+    kap = group.kappa_table()
+    rng = random.Random(SYM_SEED)
+    xs = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(2)], dtype=np.int64)
+    while True:
+        k = len(xs)
+        pair = _pairings(kap, xs, p)
+        # L transposed: row a, column (i, t) holds kappa(e_a, x_i)_t.
+        lt = pair.transpose(1, 0, 2).reshape(n, k * m)
+        # Below n rows L is not injective, so the solutions are no line.
+        if k * m >= n:
+            # Rows: the unknowns w_j[a]; columns: the equations
+            # kappa(w_j, x_i) + kappa(w_i, x_j) = 0 for i <= j, one per t.
+            pairs = [(i, j) for i in range(k) for j in range(i, k)]
+            system = np.zeros((k, n, len(pairs), m), dtype=np.int64)
+            for q, (i, j) in enumerate(pairs):
+                system[j, :, q] += pair[i]
+                system[i, :, q] += pair[j]
+            system = system.reshape(k * n, -1)
+            if len(rref(system, p)[1]) == k * n - 1:
+                return np.eye(n, dtype=np.int64)[None]
+            _, rows = rref(lt, p)
+            if len(rows) == n:
+                break
+        # The standard basis makes L injective, as the radical is zero.
+        xs = np.vstack([xs, np.eye(1, n, k - 2, dtype=np.int64)])
+    solutions = kernel_basis(system.T, p)
+    inverse = solve_matrix(lt[:, rows].T, np.eye(n, dtype=np.int64), p)
+    # images[s, r, b] = kappa(e_b, w_i)_t for the solution w_s and the row
+    # r = (i, t) of R, so that F(w_s) = L_R^-1 images[s].
+    brackets = _pairings(kap, solutions.reshape(-1, n), p).reshape(-1, k, n, m)
+    images = brackets.transpose(0, 1, 3, 2).reshape(-1, k * m, n)[:, rows]
+    fs = np.mod(inverse @ images, p)
+    # F^T K_t - K_t F at [s, a, b, t]: Sym is where a combination vanishes.
+    adjoint = np.einsum("sca,cbt->sabt", fs, kap) - np.einsum("act,scb->sabt", kap, fs)
+    coeffs = kernel_basis(np.mod(adjoint.reshape(len(fs), -1).T, p), p)
+    return np.mod(coeffs @ fs.reshape(len(fs), n * n), p).reshape(-1, n, n)
+
+
+def _largest_idempotent(basis: np.ndarray, p: int):
+    """The first idempotent of largest rank other than 0 and 1 among the
+    elements of the algebra spanned by basis, or None."""
+    dim, n, _ = basis.shape
+    elements = np.mod(all_vectors(p, dim) @ basis.reshape(dim, n * n), p).reshape(-1, n, n)
+    idempotent = (np.mod(elements @ elements, p) == elements).all(axis=(1, 2))
+    best, best_rank = None, 0
+    for e in elements[idempotent]:
+        rank = len(rref(e, p)[1])
+        if best_rank < rank < n:
+            best, best_rank = e, rank
+    return best
+
+
+def _bracket_span(group: GroupPresentation, space: Subspace) -> Subspace:
+    """kappa(U, U) for the subspace U = space."""
+    return Subspace(group.p, group.m, _kappa(group, space.basis, space.basis).reshape(-1, group.m))
+
+
+def central_decomposition(group: GroupPresentation) -> DecompositionVerdict:
+    """Decide whether G is a nontrivial central product G = CD.
+
+    When Z(G) > G' no linear algebra beyond the radical R of kappa is
+    needed.  An abelian group decomposes iff n >= 2, into two coordinate
+    hyperplanes.  A nonabelian one decomposes into R and the coordinate
+    hyperplane at R's first pivot, which does not contain R.
+
+    When Z(G) = G' the answer is read from Sym(kappa): dimension 1 means
+    no decomposition.  A larger Sym is enumerated, if its elements fit
+    SYM_ENUMERATION_LIMIT, and the first idempotent e of largest rank
+    other than 0 and 1 gives U = eV and W = (1 - e)V; with no such
+    idempotent there is no decomposition.  Past the limit the answer is
+    undetermined and names the limit ``sym_enumeration``.
+    """
+    p, n = group.p, group.n
+    if group.is_abelian:
+        if n < 2:
+            return DecompositionVerdict("none")
+        eye = np.eye(n, dtype=np.int64)
+        return _found(group, Subspace(p, n, eye[:-1]), Subspace(p, n, eye[1:]), 0)
+    radical = center(group).radical
+    if radical.dim:
+        hyperplane = Subspace(p, n, np.delete(np.eye(n, dtype=np.int64), radical.pivots[0], axis=0))
+        return _found(group, hyperplane, radical, 0)
+    basis = _sym_basis(group)
+    dim = len(basis)
+    if dim == 1:
+        return DecompositionVerdict("none", sym_dim=1)
+    if p**dim * n * n > SYM_ENUMERATION_LIMIT:
+        return DecompositionVerdict("undetermined", sym_dim=dim, limit="sym_enumeration")
+    e = _largest_idempotent(basis, p)
+    if e is None:
+        return DecompositionVerdict("none", sym_dim=dim)
+    u, w = Subspace(p, n, e.T), Subspace(p, n, (np.eye(n, dtype=np.int64) - e).T)
+    overlap = _bracket_span(group, u).intersect(_bracket_span(group, w)).dim
+    return _found(group, u, w, overlap, dim)
+
+
+@dataclass(frozen=True)
 class CapabilityVerdict:
     status: str
     method: str
@@ -254,11 +417,11 @@ def capability_verdict(group: GroupPresentation) -> CapabilityVerdict:
 
 @dataclass(frozen=True)
 class RpVerdict:
-    status: str  # "member" | "non_member" | "member_by_construction" | "undetermined"
+    status: str  # "member" | "non_member" | "undetermined"
     reasons: tuple
 
 
-def rp_membership(group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP) -> RpVerdict:
+def rp_membership(group: GroupPresentation) -> RpVerdict:
     """Membership in the restricted class: center equals derived subgroup,
     a forced relation among the nonzero generator commutators, and central
     indecomposability.
@@ -266,9 +429,8 @@ def rp_membership(group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP) -> RpV
     The relation check uses the standard generator transversal: the
     nonzero commutator vectors span, so a relation exists exactly when
     there are more of them than the derived dimension.  Indecomposability
-    is certified either by provenance (outputs of the amalgamated
-    coproduct of nontrivial factors) or by the exhaustive search when the
-    order is within cap; otherwise the status is undetermined.
+    is decided by central_decomposition; the status is undetermined only
+    when that names a limit.
     """
     reasons = ["exponent_p_class_at_most_2"]
     info = center(group)
@@ -285,18 +447,15 @@ def rp_membership(group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP) -> RpV
         reasons.append("commutators_linearly_independent")
     if not info.center_equals_derived or not relation:
         return RpVerdict("non_member", tuple(reasons))
-    if group.provenance == AMALGAM_PROVENANCE:
-        reasons.append("indecomposable_by_construction")
-        return RpVerdict("member_by_construction", tuple(reasons))
-    search = central_decomposition_search(group, cap)
-    if search.status == "exceeds_cap":
-        reasons.append("indecomposability_not_verified")
+    decomposition = central_decomposition(group)
+    if decomposition.status == "undetermined":
+        reasons.append(f"indecomposability_not_verified({decomposition.limit})")
         return RpVerdict("undetermined", tuple(reasons))
-    if search.witness is None:
+    if decomposition.status == "none":
         reasons.append("no_central_decomposition_found")
         return RpVerdict("member", tuple(reasons))
     reasons.append(
-        f"central_decomposition_found({search.witness.left.order},{search.witness.right.order})"
+        f"central_decomposition_found({decomposition.left_order},{decomposition.right_order})"
     )
     return RpVerdict("non_member", tuple(reasons))
 

@@ -3,29 +3,27 @@
 Exit codes: 0 a verdict was computed, 1 usage error, 2 validation or parse
 error, 3 verification failure.  Reports are `key = value` lines in a fixed
 key order so identical inputs produce byte-identical output; subspace
-bases print as echelon rows joined by commas.  The only recognized
-environment variable is NILP2_MAX_ORDER, which overrides the subgroup
-enumeration cap of the search-backed commands rp-check and decompose;
-capability verdicts, epicentres, extensions and embedding checks have no
-cap.
+bases print as echelon rows joined by commas.  No command has an order
+cap or reads an environment variable; rp-check and decompose answer
+undetermined, naming the limit, only when the algebra Sym(kappa) is too
+large to enumerate.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import fileformats
 from .capability import (
     capability_verdict,
-    central_decomposition_search,
+    central_decomposition,
     epicentre_in_derived,
     rp_membership,
 )
 from .constructions import build_capable_extension, build_noncapable_extension
 from .errors import Nilp2Error
-from .group_core import DEFAULT_ORDER_CAP, center, is_monomorphism
+from .group_core import center, is_monomorphism
 from .products import (
     Identification,
     amalgamated_coproduct,
@@ -83,16 +81,6 @@ def _emit(text: str, report_path=None):
             fh.write(text)
 
 
-def _order_cap() -> int:
-    raw = os.environ.get("NILP2_MAX_ORDER")
-    if raw is None:
-        return DEFAULT_ORDER_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise Nilp2Error(f"NILP2_MAX_ORDER must be an integer, got {raw!r}") from None
-
-
 def cmd_inspect(args) -> int:
     g = fileformats.parse_group_file(args.file)
     info = center(g)
@@ -142,7 +130,7 @@ def cmd_epicentre(args) -> int:
 
 def cmd_rp_check(args) -> int:
     g = fileformats.parse_group_file(args.file)
-    verdict = rp_membership(g, _order_cap())
+    verdict = rp_membership(g)
     values = {
         "n": g.n,
         "m": g.m,
@@ -232,17 +220,14 @@ def cmd_verify_embed(args) -> int:
 
 def cmd_decompose(args) -> int:
     g = fileformats.parse_group_file(args.file)
-    cap = args.max_order if args.max_order is not None else _order_cap()
-    search = central_decomposition_search(g, cap)
-    lines = [f"order_exp = {g.order_exp}"]
-    if search.subgroup_count is not None:
-        lines.append(f"subgroups = {search.subgroup_count}")
-    status = {"witness": "found", "none": "none", "exceeds_cap": "exceeds_cap"}[search.status]
-    lines.append(f"decomposition = {status}")
-    if search.witness is not None:
-        lines.append(f"witness_left_order = {search.witness.left.order}")
-        lines.append(f"witness_right_order = {search.witness.right.order}")
-        lines.append(f"derived_overlap_dim = {search.witness.derived_overlap_dim}")
+    decomposition = central_decomposition(g)
+    lines = [f"order_exp = {g.order_exp}", f"decomposition = {decomposition.status}"]
+    if decomposition.status == "found":
+        lines.append(f"witness_left_order = {decomposition.left_order}")
+        lines.append(f"witness_right_order = {decomposition.right_order}")
+        lines.append(f"derived_overlap_dim = {decomposition.derived_overlap_dim}")
+    if decomposition.limit is not None:
+        lines.append(f"limit = {decomposition.limit}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -302,9 +287,8 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--map", required=True)
     p_ver.set_defaults(func=cmd_verify_embed)
 
-    p_dec = sub.add_parser("decompose", help="search for a central decomposition")
+    p_dec = sub.add_parser("decompose", help="decide whether the group is a central product")
     p_dec.add_argument("file")
-    p_dec.add_argument("--max-order", type=int, default=None)
     p_dec.set_defaults(func=cmd_decompose)
 
     p_self = sub.add_parser("selftest", help="run the acceptance battery")

@@ -6,10 +6,10 @@ one.  Both return a self-contained report carrying the presentations, the
 embedding, the recomputable verdicts, and the rank bounds
 (+2/+3 respectively +6/+7 on the abelianized rank, by branch).
 
-Each output is an amalgamated coproduct of nontrivial factors, which
-rp_membership places in the restricted class by provenance before any
-subgroup search, so neither the builders nor verify_extension take an
-order cap.
+Each output is an amalgamated coproduct of nontrivial factors.
+rp_membership decides its membership in the restricted class from the
+presentation alone, so a report and the same output re-read from its file
+get the same answer.
 """
 
 from __future__ import annotations
@@ -254,10 +254,7 @@ def verify_extension(report: ExtensionReport) -> VerificationOutcome:
 
     def check_rp():
         fresh = rp_membership(report.output_group)
-        ok = fresh.status == report.rp.status and fresh.status in (
-            "member",
-            "member_by_construction",
-        )
+        ok = fresh.status == report.rp.status == "member"
         return ok, f"recomputed {fresh.status}"
 
     def check_identified():

@@ -86,13 +86,13 @@ class GroupPresentation:
     """Validated presentation (p, n, m, c) of a class-<=2 exponent-p group.
 
     Immutable; the commutator map c is canonicalized to its nonzero
-    entries, sorted by (j, i).  Equality and hashing ignore the label and
-    provenance so that structurally identical presentations compare equal.
+    entries, sorted by (j, i).  Equality and hashing ignore the label so
+    that structurally identical presentations compare equal.
     """
 
-    __slots__ = ("p", "n", "m", "c_items", "label", "provenance", "_kappa", "_delta", "_hash")
+    __slots__ = ("p", "n", "m", "c_items", "label", "_kappa", "_delta", "_center", "_hash")
 
-    def __init__(self, p, n, m, c=None, label="", provenance=None):
+    def __init__(self, p, n, m, c=None, label=""):
         self.p = check_odd_prime(p)
         n = int(n)
         m = int(m)
@@ -128,9 +128,9 @@ class GroupPresentation:
                 raise SpanDeficit(len(pivots), m)
         self.c_items = tuple(items)
         self.label = str(label)
-        self.provenance = provenance
         self._kappa = None
         self._delta = None
+        self._center = None
         self._hash = None
 
     # -- basic structure -------------------------------------------------
@@ -152,16 +152,6 @@ class GroupPresentation:
     def is_abelian(self) -> bool:
         # The c-vectors span F_p^m, so m = 0 iff every commutator vanishes.
         return self.m == 0
-
-    def with_meta(self, label=None, provenance=None) -> "GroupPresentation":
-        return GroupPresentation(
-            self.p,
-            self.n,
-            self.m,
-            self.c,
-            label=self.label if label is None else label,
-            provenance=self.provenance if provenance is None else provenance,
-        )
 
     def _c_arrays(self):
         """The zero-based j and i of every nonzero commutator, and their
@@ -405,17 +395,19 @@ def center(group: GroupPresentation) -> CenterInfo:
 
     The returned subspace R <= F_p^n is the image of the center in the
     abelianized coordinates; |Z(G)| = p^(dim R + m), and Z(G) = [G, G]
-    exactly when R = 0.
+    exactly when R = 0.  Computed once per presentation.
     """
-    n, m = group.n, group.m
-    kap = group.kappa_table()
-    # v is central iff kappa(v, e_i) = 0 for every i.
-    mat = kap.transpose(1, 2, 0).reshape(n * m, n)
-    radical = Subspace(group.p, n, kernel_basis(mat, group.p))
-    return CenterInfo(radical, radical.dim == 0, radical.dim + m)
+    if group._center is None:
+        n, m = group.n, group.m
+        kap = group.kappa_table()
+        # v is central iff kappa(v, e_i) = 0 for every i.
+        mat = kap.transpose(1, 2, 0).reshape(n * m, n)
+        radical = Subspace(group.p, n, kernel_basis(mat, group.p))
+        group._center = CenterInfo(radical, radical.dim == 0, radical.dim + m)
+    return group._center
 
 
-def quotient_by_central(group: GroupPresentation, sub: Subspace, label=None, provenance=None):
+def quotient_by_central(group: GroupPresentation, sub: Subspace, label=None):
     """Quotient by a subspace of the derived coordinates.
 
     The surviving derived coordinates are the non-pivot coordinates of
@@ -437,7 +429,6 @@ def quotient_by_central(group: GroupPresentation, sub: Subspace, label=None, pro
         group.m - sub.dim,
         new_c,
         label=label if label is not None else (f"{group.label}/N" if group.label else ""),
-        provenance=provenance,
     )
 
 

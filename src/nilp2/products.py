@@ -1,10 +1,10 @@
 """Product constructors: direct, 2-nilpotent, central with identification,
 and the amalgamated coproduct.
 
-Every constructor returns the product presentation together with the two
-canonical embeddings.  Generator order is fixed: the left factor's
-generators always come first, so each embedding is the inclusion
-x_i -> x_i of the factor's generators, solved once on the final product.
+Every constructor returns the product presentation together with its two
+factors.  Generator order is fixed: the left factor's generators always
+come first, so each canonical embedding is the inclusion x_i -> x_i of the
+factor's generators, solved on the final product when first read.
 In the 2-nilpotent product the derived space splits as (left block) +
 (right block) + (tensor block), the tensor block holding one coordinate
 per generator pair (j in right factor, i in left factor), ordered
@@ -15,6 +15,7 @@ corresponding tensor basis vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +31,6 @@ __all__ = [
     "direct_product",
     "nilpotent2_product",
 ]
-
-AMALGAM_PROVENANCE = "amalgamated_coproduct_nontrivial"
-
 
 @dataclass(frozen=True)
 class Identification:
@@ -83,8 +81,16 @@ class Identification:
 @dataclass(frozen=True)
 class ProductResult:
     group: GroupPresentation
-    embed_left: GeneratorMap
-    embed_right: GeneratorMap
+    left: GroupPresentation
+    right: GroupPresentation
+
+    @cached_property
+    def embed_left(self) -> GeneratorMap:
+        return hom_from_images(self.left, self.group, self.group.generators()[: self.left.n])
+
+    @cached_property
+    def embed_right(self) -> GeneratorMap:
+        return hom_from_images(self.right, self.group, self.group.generators()[self.left.n :])
 
 
 def _check_same_p(a: GroupPresentation, b: GroupPresentation):
@@ -112,11 +118,6 @@ def _block_c(a: GroupPresentation, b: GroupPresentation, m_total: int, b_offset:
     return c
 
 
-def _embeddings(a, b, product) -> tuple[GeneratorMap, GeneratorMap]:
-    gens = product.generators()
-    return hom_from_images(a, product, gens[: a.n]), hom_from_images(b, product, gens[a.n :])
-
-
 def direct_product(a: GroupPresentation, b: GroupPresentation) -> ProductResult:
     """Direct product: block-diagonal commutators, all cross pairs trivial."""
     _check_same_p(a, b)
@@ -124,8 +125,7 @@ def direct_product(a: GroupPresentation, b: GroupPresentation) -> ProductResult:
     product = GroupPresentation(
         a.p, a.n + b.n, m, _block_c(a, b, m, a.m), label=_pair_label("dir", a, b)
     )
-    left, right = _embeddings(a, b, product)
-    return ProductResult(product, left, right)
+    return ProductResult(product, a, b)
 
 
 def tensor_pair_index(a: GroupPresentation, b: GroupPresentation, j: int, i: int) -> int:
@@ -154,8 +154,7 @@ def nilpotent2_product(a: GroupPresentation, b: GroupPresentation) -> ProductRes
     _check_same_p(a, b)
     m, c = _coproduct_c(a, b)
     product = GroupPresentation(a.p, a.n + b.n, m, c, label=_pair_label("nil2", a, b))
-    left, right = _embeddings(a, b, product)
-    return ProductResult(product, left, right)
+    return ProductResult(product, a, b)
 
 
 def _check_identification(a, b, ident: Identification):
@@ -192,8 +191,7 @@ def central_product_identified(
     product = quotient_by_central(
         stage, _glue(a, b, ident, m), label=_pair_label(f"cp{ident.size}", a, b)
     )
-    left, right = _embeddings(a, b, product)
-    return ProductResult(product, left, right)
+    return ProductResult(product, a, b)
 
 
 def amalgamated_coproduct(
@@ -212,10 +210,6 @@ def amalgamated_coproduct(
     m, c = _coproduct_c(a, b)
     stage = GroupPresentation(a.p, a.n + b.n, m, c)
     product = quotient_by_central(
-        stage,
-        _glue(a, b, ident, m),
-        label=_pair_label(f"amalg{ident.size}", a, b),
-        provenance=AMALGAM_PROVENANCE,
+        stage, _glue(a, b, ident, m), label=_pair_label(f"amalg{ident.size}", a, b)
     )
-    left, right = _embeddings(a, b, product)
-    return ProductResult(product, left, right)
+    return ProductResult(product, a, b)

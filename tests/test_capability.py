@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nilp2.capability import (
     capability_verdict,
+    central_decomposition,
     central_decomposition_search,
     epicentre_cross_check,
     epicentre_in_derived,
@@ -16,10 +17,12 @@ from nilp2.capability import (
 )
 from nilp2.constructions import build_capable_extension, extraspecial_p5, heisenberg
 from nilp2.errors import PreconditionCenterNotDerived, SpanDeficit
+from nilp2.fileformats import format_group, parse_group_text
 from nilp2.fplinalg import Subspace, rref
 from nilp2.group_core import GroupPresentation, center, cyclic, elementary_abelian
 from nilp2.products import Identification, amalgamated_coproduct, central_product_identified, direct_product
 from nilp2.selfcheck import (
+    _amalgam_battery,
     center_line_identification,
     expected_amalgam_epicentre,
     random_presentation,
@@ -266,34 +269,40 @@ def test_rp_extraspecial_decomposes():
 def test_rp_constructed_extension():
     rep = build_capable_extension(cyclic(3))
     v = rp_membership(rep.output_group)
-    assert v.status == "member_by_construction"
+    assert v.status == "member"
     assert "center_equals_derived" in v.reasons
     assert any(r.startswith("commutator_relation_exists(6>5)") for r in v.reasons)
+    assert v.reasons[-1] == "no_central_decomposition_found"
 
 
 def test_rp_small_member_verified_by_search():
-    # strip the provenance tag from a small amalgam so the search must decide
-    h = heisenberg(3)
-    g = amalgamated_coproduct(
-        elementary_abelian(3, 2), cyclic(3), Identification(elementary_abelian(3, 2), cyclic(3), (), ())
-    ).group
-    bare = g.with_meta(provenance="")
-    # order 3^5 = 243: within cap, but the empty identification leaves the
-    # commutators independent, so this is a non-member via the relation check
-    v = rp_membership(bare)
-    assert v.status == "non_member"
-
-    tagged = amalgamated_coproduct(h, h, center_line_identification(h, h)).group
-    assert rp_membership(tagged).status == "member_by_construction"
+    # The empty identification leaves the commutators of this order-243
+    # amalgam independent, so the relation check alone makes it a non-member.
+    a, b = elementary_abelian(3, 2), cyclic(3)
+    g = amalgamated_coproduct(a, b, Identification(a, b, (), ())).group
+    assert rp_membership(g).status == "non_member"
+    # Three commutators in a two-dimensional derived subgroup, Z(G) = G', and
+    # Sym(kappa) of dimension 1: a member, which the exhaustive search confirms.
+    g = GroupPresentation(3, 3, 2, {(2, 1): (1, 0), (3, 1): (0, 1), (3, 2): (1, 1)})
+    assert rp_membership(g).status == "member"
+    assert central_decomposition_search(g).status == "none"
 
 
 def test_rp_undetermined_above_cap():
+    # Order 3^25, far above the search's cap: Sym(kappa) decides it, and the
+    # same presentation re-read from its file gets the same answer.
     e = extraspecial_p5(3)
-    res = amalgamated_coproduct(e, e, center_line_identification(e, e))
-    bare = res.group.with_meta(provenance="")
-    v = rp_membership(bare)
-    assert v.status == "undetermined"
-    assert "indecomposability_not_verified" in v.reasons
+    g = amalgamated_coproduct(e, e, center_line_identification(e, e)).group
+    v = rp_membership(g)
+    assert v.status == "member"
+    assert v.reasons[-1] == "no_central_decomposition_found"
+    assert rp_membership(parse_group_text(format_group(g))) == v
+
+
+def test_criterion_4_amalgams_have_one_dimensional_sym():
+    for a, b, ident in _amalgam_battery():
+        g = amalgamated_coproduct(a, b, ident).group
+        assert central_decomposition(g).sym_dim == 1
 
 
 # -- decomposition search ----------------------------------------------------------------

@@ -13,9 +13,9 @@ from nilp2.fileformats import (
     parse_group_text,
     parse_identification_text,
 )
-from nilp2.group_core import cyclic, elementary_abelian, hom_from_images
+from nilp2.group_core import GroupPresentation, cyclic, elementary_abelian, hom_from_images
 from nilp2.products import Identification, direct_product, nilpotent2_product
-from nilp2.selfcheck import random_identification, random_presentation
+from nilp2.selfcheck import random_identification, random_presentation, rebase
 
 HEISENBERG_FILE = "nilp2 v1\np 3\nn 2\nm 1\nc 2 1 1\n"
 
@@ -289,24 +289,44 @@ def test_decompose_command(tmp_path, capsys):
     assert main(["decompose", plane]) == 0
     out = capsys.readouterr().out
     assert "decomposition = found" in out
-    assert "subgroups = 6" in out
 
     h = write(tmp_path, "h.grp", HEISENBERG_FILE)
     assert main(["decompose", h]) == 0
     out = capsys.readouterr().out
     assert "decomposition = none" in out
-    assert "subgroups = 19" in out
 
 
-def test_decompose_max_order(tmp_path, capsys):
+def test_decompose_reports_the_witness_and_the_limit(tmp_path, capsys):
     e = write(tmp_path, "e.grp", format_group(extraspecial_p5(3)))
-    assert main(["decompose", e, "--max-order", "81"]) == 0
-    out = capsys.readouterr().out
-    assert "decomposition = exceeds_cap" in out
-
-
-def test_env_cap_override(tmp_path, capsys, monkeypatch):
-    e = write(tmp_path, "e.grp", format_group(extraspecial_p5(3)))
-    monkeypatch.setenv("NILP2_MAX_ORDER", "81")
     assert main(["decompose", e]) == 0
-    assert "decomposition = exceeds_cap" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "order_exp = 5\ndecomposition = found\nwitness_left_order = 27\n"
+        "witness_right_order = 27\nderived_overlap_dim = 1\n"
+    )
+    # The extraspecial group of order 3^7: Sym(kappa) has dimension 15.
+    c = {(2 * k + 2, 2 * k + 1): (1,) for k in range(3)}
+    big = write(tmp_path, "big.grp", format_group(GroupPresentation(3, 6, 1, c)))
+    assert main(["decompose", big]) == 0
+    assert capsys.readouterr().out == "order_exp = 7\ndecomposition = undetermined\nlimit = sym_enumeration\n"
+
+
+def _rp_lines(text):
+    return [line for line in text.splitlines() if line.startswith(("rp_status", "rp_reasons"))]
+
+
+@pytest.mark.parametrize("mode", ["capable", "noncapable"])
+@pytest.mark.parametrize(
+    "group",
+    [heisenberg(3), elementary_abelian(3, 2), rebase(heisenberg(3), [[1, 2], [1, 0]]),
+     rebase(elementary_abelian(3, 2), [[1, 1], [2, 0]])],
+    ids=["H3", "C3^2", "H3-rebased", "C3^2-rebased"],
+)
+def test_rp_check_on_the_extend_output_agrees_with_extend(tmp_path, capsys, mode, group):
+    src = write(tmp_path, "in.grp", format_group(group))
+    out_path = str(tmp_path / "out.grp")
+    assert main(["extend", "--mode", mode, src, "-o", out_path]) == 0
+    extended = _rp_lines(capsys.readouterr().out)
+    assert main(["rp-check", out_path]) == 0
+    checked = _rp_lines(capsys.readouterr().out)
+    assert checked == extended
+    assert checked[0] == "rp_status = member"

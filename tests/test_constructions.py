@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from nilp2.capability import epicentre_in_derived
+from nilp2.capability import central_decomposition, epicentre_in_derived, rp_membership
 from nilp2.constructions import (
     _least_nonzero_commutator,
     build_capable_extension,
@@ -14,6 +14,7 @@ from nilp2.constructions import (
     verify_extension,
 )
 from nilp2.errors import NotOddPrime, TrivialInput
+from nilp2.fileformats import format_group, parse_group_text
 from nilp2.group_core import GroupPresentation, cyclic, elementary_abelian, hom_from_images, identity_map
 from nilp2.products import Identification, central_product_identified, direct_product, nilpotent2_product
 from nilp2.selfcheck import _battery_p3, random_presentation, rebase
@@ -60,7 +61,7 @@ def test_capable_extension_of_cyclic():
     assert (rep.output_group.n, rep.output_group.m) == (4, 5)
     assert rep.capability.status == "capable"
     assert rep.capability.method == "epicentre_trivial"
-    assert rep.rp.status == "member_by_construction"
+    assert rep.rp.status == "member"
     assert rep.embedding_mono
     assert rep.rank_bound_claimed == 3
     assert rep.rank_bound_actual == 3
@@ -82,7 +83,7 @@ def test_capable_extension_of_extraspecial_takes_otherwise_branch():
     assert rep.output_group.n == 7
     assert rep.output_group.n <= 4 + 3
     assert rep.capability.status == "capable"
-    assert rep.rp.status in ("member", "member_by_construction")
+    assert rep.rp.status == "member"
 
 
 def test_capable_extension_of_heisenberg_times_cyclic_on_a_non_basis():
@@ -114,7 +115,7 @@ def test_noncapable_extension_of_heisenberg():
     assert (rep.output_group.n, rep.output_group.m) == (8, 17)
     assert rep.capability.status == "not_capable"
     assert rep.capability.method == "epicentre_nontrivial"
-    assert rep.rp.status == "member_by_construction"
+    assert rep.rp.status == "member"
     assert rep.embedding_mono
     assert rep.rank_bound_claimed == 6
     assert rep.rank_bound_actual == 6
@@ -186,6 +187,30 @@ def test_verify_detects_wrong_capability_claim():
     assert not outcome.passed
     failing = {name for name, ok, _ in outcome.checks if not ok}
     assert "capability_matches" in failing
+
+
+def test_verify_detects_wrong_rp_claim():
+    rep = build_capable_extension(heisenberg(3))
+    wrong = dataclasses.replace(rep, rp=dataclasses.replace(rep.rp, status="undetermined"))
+    failing = {name for name, ok, _ in verify_extension(wrong).checks if not ok}
+    assert failing == {"rp_matches"}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_outputs_re_read_from_file_are_members(seed):
+    # Sym(kappa) of every output is one-dimensional, so the file alone
+    # decides membership, as the report did.
+    rng = random.Random(seed)
+    p = (3, 5, 7)[seed % 3]
+    g = random_presentation(rng, p, max_n=5)
+    if g.order == 1:
+        g = cyclic(p)
+    for build in (build_capable_extension, build_noncapable_extension):
+        rep = build(g)
+        again = parse_group_text(format_group(rep.output_group))
+        assert central_decomposition(again).sym_dim == 1
+        assert rp_membership(again) == rep.rp
+        assert rep.rp.status == "member"
 
 
 def test_full_battery_bounds_and_centers():

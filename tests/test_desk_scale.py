@@ -1,7 +1,7 @@
 """Desk-scale brute force against plain references: the subgroup
 enumeration against coset growth, the decomposition search against the
-pair-by-pair loop, and the element tables against the element
-arithmetic."""
+pair-by-pair loop, central decompositions from Sym(kappa) against the
+search, and the element tables against the element arithmetic."""
 
 import random
 
@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nilp2.capability import central_decomposition_search
+from nilp2.capability import central_decomposition, central_decomposition_search
 from nilp2.constructions import extraspecial_p5, heisenberg
 from nilp2.errors import SpanDeficit
+from nilp2.fplinalg import Subspace
 from nilp2.group_core import (
     GroupPresentation,
+    _kappa,
     _tables,
     commutator,
     cyclic,
@@ -21,7 +23,7 @@ from nilp2.group_core import (
     enumerate_subgroups,
     multiply,
 )
-from nilp2.products import Identification, amalgamated_coproduct, direct_product
+from nilp2.products import Identification, amalgamated_coproduct, central_product_identified, direct_product
 from nilp2.selfcheck import rebase
 from oracles import reference_subgroups
 from test_capability import _random_invertible
@@ -195,6 +197,99 @@ def test_search_matches_pair_loop(group):
 def test_search_matches_pair_loop_on_rebased_presentations(group, seed):
     rng = random.Random(seed)
     _assert_same_search(rebase(group, _random_invertible(rng, group.p, group.n)))
+
+
+# -- central decompositions from Sym(kappa) ---------------------------------------
+
+
+def _assert_witness(group, got):
+    """kappa(U, W) = 0, U + W = V, neither contains the other, and the
+    orders are those of the preimages."""
+    u, w = got.left, got.right
+    assert not _kappa(group, u.basis, w.basis).any()
+    assert u.sum(w) == Subspace.full(group.p, group.n)
+    assert not u.contains(w) and not w.contains(u)
+    assert (got.left_order, got.right_order) == (group.p ** (u.dim + group.m), group.p ** (w.dim + group.m))
+
+
+def _assert_matches_search(group):
+    got = central_decomposition(group)
+    search = central_decomposition_search(group)
+    assert got.status == {"witness": "found", "none": "none"}[search.status]
+    assert got.limit is None
+    if search.witness is not None:
+        w = search.witness
+        assert (got.left_order, got.right_order) == (w.left.order, w.right.order)
+        assert got.derived_overlap_dim == w.derived_overlap_dim
+        _assert_witness(group, got)
+    return got
+
+
+@pytest.mark.parametrize("group", SEARCH_GROUPS, ids=_name)
+def test_sym_decomposition_matches_search(group):
+    _assert_matches_search(group)
+
+
+@settings(max_examples=25, deadline=None)
+@given(group=st.sampled_from(SEARCH_GROUPS), seed=st.integers(0, 2**32 - 1))
+def test_sym_decomposition_matches_search_on_rebased_presentations(group, seed):
+    rng = random.Random(seed)
+    got = _assert_matches_search(rebase(group, _random_invertible(rng, group.p, group.n)))
+    assert got.sym_dim == central_decomposition(group).sym_dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=desk_presentations(), seed=st.integers(0, 2**32 - 1))
+def test_sym_decomposition_matches_search_on_random_presentations(group, seed):
+    got = _assert_matches_search(group)
+    rng = random.Random(seed)
+    again = _assert_matches_search(rebase(group, _random_invertible(rng, group.p, group.n)))
+    assert again.sym_dim == got.sym_dim
+
+
+def _free_rank3(p):
+    return GroupPresentation(p, 3, 3, {(2, 1): (1, 0, 0), (3, 1): (0, 1, 0), (3, 2): (0, 0, 1)})
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([3, 5]))
+def test_sym_dimension_is_invariant_under_rebase_beyond_the_cap(seed, p):
+    # Central products of two or three random factors with Z(G) = G', glued
+    # along a derived line: orders far above the search's cap.
+    rng = random.Random(seed)
+    factors = [heisenberg(p), extraspecial_p5(p), _free_rank3(p)]
+    group = rng.choice(factors)
+    for _ in range(rng.randint(1, 2)):
+        other = rng.choice(factors)
+        ident = Identification(group, other, ((1,) + (0,) * (group.m - 1),), ((1,) + (0,) * (other.m - 1),))
+        group = central_product_identified(group, other, ident).group
+    rebased = rebase(group, _random_invertible(rng, p, group.n))
+    got, again = central_decomposition(group), central_decomposition(rebased)
+    assert again.sym_dim == got.sym_dim > 1
+    assert again.status == got.status
+    if got.status == "found":
+        assert (again.left_order, again.right_order) == (got.left_order, got.right_order)
+        _assert_witness(group, got)
+        _assert_witness(rebased, again)
+
+
+def test_sym_witness_is_the_idempotent_of_largest_rank():
+    # H3 glued to the free rank-3 group along a derived line: Sym(kappa) has
+    # idempotents of ranks 2 and 3, and the witness takes rank 3.
+    h, f = heisenberg(3), _free_rank3(3)
+    group = central_product_identified(h, f, Identification(h, f, ((1,),), ((1, 0, 0),))).group
+    got = central_decomposition(group)
+    assert (got.status, got.left.dim, got.right.dim) == ("found", 3, 2)
+    assert (got.left_order, got.right_order, got.derived_overlap_dim) == (3**6, 3**5, 1)
+    _assert_witness(group, got)
+
+
+def test_sym_enumeration_limit_is_named():
+    # The extraspecial group of order 3^7: dim Sym(kappa) = 15, so its
+    # 3^15 elements are not enumerated.
+    group = GroupPresentation(3, 6, 1, {(2 * k + 2, 2 * k + 1): (1,) for k in range(3)})
+    got = central_decomposition(group)
+    assert (got.status, got.sym_dim, got.limit) == ("undetermined", 15, "sym_enumeration")
 
 
 # -- element tables ----------------------------------------------------------

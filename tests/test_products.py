@@ -203,13 +203,6 @@ def test_amalgam_embeddings_mono_and_overlap():
         assert meet == res.embed_left.push_derived(ident.source_basis)
 
 
-def test_amalgam_provenance_tag():
-    h = heisenberg(3)
-    res = amalgamated_coproduct(h, h, centers(h, h))
-    assert res.group.provenance == "amalgamated_coproduct_nontrivial"
-    assert nilpotent2_product(h, h).group.provenance is None
-
-
 def test_amalgam_embeddings_are_the_composite_through_the_stage():
     # Each embedding of the amalgam is the 2-nilpotent product's embedding
     # followed by the canonical projection onto the quotient.
@@ -243,5 +236,6 @@ def test_embeddings_are_the_canonical_inclusions():
             results.append(amalgamated_coproduct(a, b, ident))
         for res in results:
             gens = res.group.generators()
+            assert (res.embed_left.domain, res.embed_right.domain) == (a, b)
             assert res.embed_left.images == gens[: a.n]
             assert res.embed_right.images == gens[a.n :]
