@@ -10,7 +10,6 @@ from .capability import (
     DecompositionSearch,
     DecompositionVerdict,
     EpicentreCrossCheck,
-    JacobiSubspace,
     RpVerdict,
     capability_verdict,
     central_decomposition,
@@ -45,7 +44,6 @@ from .group_core import (
     multiply,
     power,
     quotient_by_central,
-    validate,
 )
 from .products import (
     Identification,

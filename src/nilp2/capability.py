@@ -1,6 +1,8 @@
 """Capability verdicts, the epicentre of nonabelian groups, central
-decompositions, the restricted-class membership test, and the brute-force
-search oracle.
+decompositions, the restricted-class membership test, and two desk-scale
+oracles: the brute-force decomposition search, which the subgroup
+enumeration refuses above ORDER_CAP, and the quotient cross-check, which
+refuses m > CROSS_CHECK_MAX_DERIVED_DIM.
 
 The epicentre computation works in the tensor space F_p^m (x) F_p^n,
 flattened with the derived index major and the abelianized index minor:
@@ -11,7 +13,9 @@ the relation subspace are
                + kappa(k, i) (x) e_j,
 
 and an element g of the derived space is in the epicentre exactly when
-g (x) e_i lies in that subspace for every generator index i.  The
+g (x) e_i lies in that subspace for every generator index i.
+``jacobi_subspace`` returns that subspace, from one elimination of the
+C(n, 3) x nm matrix of the J(i, j, k).  The
 criterion holds when the center coincides with the derived subgroup.
 
 Every other nonabelian group is G = H x C_p^r, where r is the dimension of
@@ -42,7 +46,6 @@ import numpy as np
 from .errors import OrderExceedsCap, PreconditionCenterNotDerived
 from .fplinalg import Subspace, all_subspaces, all_vectors, kernel_basis, rref, solve_matrix
 from .group_core import (
-    DEFAULT_ORDER_CAP,
     GroupPresentation,
     Subgroup,
     _kappa,
@@ -57,7 +60,6 @@ __all__ = [
     "DecompositionSearch",
     "DecompositionVerdict",
     "EpicentreCrossCheck",
-    "JacobiSubspace",
     "RpVerdict",
     "capability_verdict",
     "central_decomposition",
@@ -65,7 +67,6 @@ __all__ = [
     "epicentre_cross_check",
     "epicentre_in_derived",
     "jacobi_subspace",
-    "jacobi_vector",
     "rp_membership",
 ]
 
@@ -77,57 +78,24 @@ NOT_CAPABLE = "not_capable"
 SYM_ENUMERATION_LIMIT = 1 << 18
 # Seed of the test vectors x_1, x_2 of the Sym certificate.
 SYM_SEED = 0
+# epicentre_cross_check enumerates the subspaces of F_p^m only up to this m.
+CROSS_CHECK_MAX_DERIVED_DIM = 4
 
 
-def jacobi_vector(group: GroupPresentation, x: int, y: int, z: int) -> np.ndarray:
-    """Relation vector for generator indices (1-based); repeats are allowed
-    and make the vector vanish."""
-    kap = group.kappa_table()
+def jacobi_subspace(group: GroupPresentation) -> Subspace:
+    """The relation subspace, spanned by J(i, j, k) for i < j < k."""
     n, m = group.n, group.m
-    out = np.zeros(m * n, dtype=np.int64)
-    if m == 0:
-        return out
-    slots = np.arange(m) * n
-    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        out[slots + (c - 1)] += kap[a - 1, b - 1]
-    return np.mod(out, group.p)
-
-
-@dataclass(frozen=True)
-class JacobiSubspace:
-    """Relation subspace of the flattened tensor space plus its generators.
-
-    ``vectors`` holds one generating vector per triple, in the order of
-    ``triples``.
-    """
-
-    space: Subspace
-    triples: tuple
-    vectors: np.ndarray
-
-    @property
-    def generators(self) -> tuple:
-        """(triple, vector) pairs with the vectors as tuples of ints."""
-        return tuple(
-            (triple, tuple(int(x) for x in vec)) for triple, vec in zip(self.triples, self.vectors)
-        )
-
-
-def jacobi_subspace(group: GroupPresentation) -> JacobiSubspace:
-    n, m = group.n, group.m
-    triples = tuple(itertools.combinations(range(1, n + 1), 3))
+    triples = list(itertools.combinations(range(n), 3))
     kap = group.kappa_table()
     out = np.zeros((len(triples), m, n), dtype=np.int64)
     if triples:
         rows = np.arange(len(triples))
-        x, y, z = (np.array(t) - 1 for t in zip(*triples))
-        # The same three terms as jacobi_vector; within one row the three
-        # target columns differ, so no scatter index repeats.
+        x, y, z = (np.array(t) for t in zip(*triples))
+        # Within one row the three target columns differ, so no scatter
+        # index repeats.
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             out[rows, :, c] += kap[a, b]
-    vectors = np.mod(out.reshape(len(triples), m * n), group.p)
-    vectors.flags.writeable = False
-    return JacobiSubspace(Subspace(group.p, m * n, vectors), triples, vectors)
+    return Subspace(group.p, m * n, np.mod(out.reshape(len(triples), m * n), group.p))
 
 
 def _radical_complement(group: GroupPresentation, radical: Subspace) -> GroupPresentation:
@@ -159,8 +127,7 @@ def epicentre_in_derived(group: GroupPresentation) -> Subspace:
     n, m = group.n, group.m
     if m == 0:
         return Subspace.zero(group.p, 0)
-    s = jacobi_subspace(group).space
-    q = s.complement_projection()
+    q = jacobi_subspace(group).complement_projection()
     if q.shape[0] == 0:
         # The relation subspace is everything, so every g qualifies.
         return Subspace.full(group.p, m)
@@ -178,14 +145,12 @@ class CentralDecomposition:
 
 @dataclass(frozen=True)
 class DecompositionSearch:
-    status: str  # "witness" | "none" | "exceeds_cap"
-    witness: CentralDecomposition | None = None
-    subgroup_count: int | None = None
+    status: str  # "witness" | "none"
+    witness: CentralDecomposition | None
+    subgroup_count: int
 
 
-def central_decomposition_search(
-    group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP
-) -> DecompositionSearch:
+def central_decomposition_search(group: GroupPresentation) -> DecompositionSearch:
     """Exhaustive search for a nontrivial central decomposition G = CD.
 
     A witness satisfies [C, D] = e, |C||D| = |G||C inter D|, and neither
@@ -202,11 +167,9 @@ def central_decomposition_search(
     ones have their meet counted.  Beyond the enumeration the search costs
     O(S * order) boolean work per left factor and holds at most
     S * (order + p^n) bytes of masks: 1.3 MB for the 2664 subgroups of
-    C3^5.
+    C3^5.  Groups above ORDER_CAP are refused by the enumeration.
     """
-    if group.order > cap:
-        return DecompositionSearch("exceeds_cap")
-    subs = enumerate_subgroups(group, cap)
+    subs = enumerate_subgroups(group)
     total = group.order
     # enumerate_subgroups sorts by (order, elements); a stable sort by
     # descending order keeps the elements ascending within each order.
@@ -402,11 +365,12 @@ class CapabilityVerdict:
 def capability_verdict(group: GroupPresentation) -> CapabilityVerdict:
     """Decide capability with a named method.
 
-    Abelian groups follow Baer's rule: capable iff more than one
-    generator.  Every other group is capable iff its epicentre is trivial.
+    Abelian groups follow Baer's rule: capable unless cyclic of order p,
+    so the trivial group is capable.  Every other group is capable iff its
+    epicentre is trivial.
     """
     if group.is_abelian:
-        status = CAPABLE if group.n > 1 else NOT_CAPABLE
+        status = CAPABLE if group.n != 1 else NOT_CAPABLE
         return CapabilityVerdict(status, "baer_abelian", {"abelian_rank": group.n})
     epi = epicentre_in_derived(group)
     evidence = {"epicentre_dim": epi.dim, "epicentre_basis": epi.basis_tuples()}
@@ -468,17 +432,18 @@ class EpicentreCrossCheck:
     failures: tuple
 
 
-def epicentre_cross_check(group: GroupPresentation, max_derived_dim: int = 4) -> EpicentreCrossCheck:
+def epicentre_cross_check(group: GroupPresentation) -> EpicentreCrossCheck:
     """Consistency oracle for the computed epicentre.
 
     Enumerates every subspace N of the derived coordinates and checks
     (i) whenever G/N is capable, N contains the computed epicentre, and
     (ii) the quotient by the computed epicentre itself is capable.
-    Nontrivial abelian groups are refused, as by epicentre_in_derived.
+    Nontrivial abelian groups are refused, as by epicentre_in_derived, and
+    so are groups with m > CROSS_CHECK_MAX_DERIVED_DIM.
     """
-    if group.m > max_derived_dim:
+    if group.m > CROSS_CHECK_MAX_DERIVED_DIM:
         raise OrderExceedsCap(
-            f"derived dimension {group.m} exceeds the enumeration limit {max_derived_dim}"
+            f"derived dimension {group.m} exceeds the enumeration limit {CROSS_CHECK_MAX_DERIVED_DIM}"
         )
     zstar = epicentre_in_derived(group)
     failures = []

@@ -3,10 +3,11 @@
 Exit codes: 0 a verdict was computed, 1 usage error, 2 validation or parse
 error, 3 verification failure.  Reports are `key = value` lines in a fixed
 key order so identical inputs produce byte-identical output; subspace
-bases print as echelon rows joined by commas.  No command has an order
-cap or reads an environment variable; rp-check and decompose answer
-undetermined, naming the limit, only when the algebra Sym(kappa) is too
-large to enumerate.
+bases print as echelon rows joined by commas.  Input files are read whole
+and parsed by the text codecs of ``fileformats``; output files are
+formatted first, then written.  No command has an order cap or reads an
+environment variable; rp-check and decompose answer undetermined, naming
+the limit, only when the algebra Sym(kappa) is too large to enumerate.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import fileformats
 from .capability import (
     capability_verdict,
     central_decomposition,
@@ -23,6 +23,13 @@ from .capability import (
 )
 from .constructions import build_capable_extension, build_noncapable_extension
 from .errors import Nilp2Error
+from .fileformats import (
+    format_generator_map,
+    format_group,
+    parse_generator_map_text,
+    parse_group_text,
+    parse_identification_text,
+)
 from .group_core import center, is_monomorphism
 from .products import (
     Identification,
@@ -74,15 +81,24 @@ def format_report(values: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read(path) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _write(path, text: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _emit(text: str, report_path=None):
     sys.stdout.write(text)
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(report_path, text)
 
 
 def cmd_inspect(args) -> int:
-    g = fileformats.parse_group_file(args.file)
+    g = parse_group_text(_read(args.file))
     info = center(g)
     lines = [
         f"p = {g.p}",
@@ -98,7 +114,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_capable(args) -> int:
-    g = fileformats.parse_group_file(args.file)
+    g = parse_group_text(_read(args.file))
     verdict = capability_verdict(g)
     values = {
         "verdict": verdict.status,
@@ -115,7 +131,7 @@ def cmd_capable(args) -> int:
 
 
 def cmd_epicentre(args) -> int:
-    g = fileformats.parse_group_file(args.file)
+    g = parse_group_text(_read(args.file))
     epi = epicentre_in_derived(g)
     values = {
         "epicentre_dim": epi.dim,
@@ -129,7 +145,7 @@ def cmd_epicentre(args) -> int:
 
 
 def cmd_rp_check(args) -> int:
-    g = fileformats.parse_group_file(args.file)
+    g = parse_group_text(_read(args.file))
     verdict = rp_membership(g)
     values = {
         "n": g.n,
@@ -143,11 +159,11 @@ def cmd_rp_check(args) -> int:
 
 
 def cmd_product(args) -> int:
-    a = fileformats.parse_group_file(args.left)
-    b = fileformats.parse_group_file(args.right)
+    a = parse_group_text(_read(args.left))
+    b = parse_group_text(_read(args.right))
     ident = None
     if args.identify is not None:
-        ident = fileformats.parse_identification_file(args.identify, a, b)
+        ident = parse_identification_text(_read(args.identify), a, b)
     if args.kind in ("direct", "nilpotent2") and ident is not None:
         raise _UsageError(f"--identify does not apply to --kind {args.kind}")
     if args.kind == "direct":
@@ -161,11 +177,11 @@ def cmd_product(args) -> int:
             result = central_product_identified(a, b, ident)
         else:
             result = amalgamated_coproduct(a, b, ident)
-    fileformats.write_group_file(args.output, result.group)
+    _write(args.output, format_group(result.group))
     if args.map_a:
-        fileformats.write_map_file(args.map_a, result.embed_left)
+        _write(args.map_a, format_generator_map(result.embed_left))
     if args.map_b:
-        fileformats.write_map_file(args.map_b, result.embed_right)
+        _write(args.map_b, format_generator_map(result.embed_right))
     values = {
         "n": result.group.n,
         "m": result.group.m,
@@ -176,14 +192,14 @@ def cmd_product(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    g = fileformats.parse_group_file(args.file)
+    g = parse_group_text(_read(args.file))
     if args.mode == "capable":
         report = build_capable_extension(g)
     else:
         report = build_noncapable_extension(g)
-    fileformats.write_group_file(args.output, report.output_group)
+    _write(args.output, format_group(report.output_group))
     if args.map:
-        fileformats.write_map_file(args.map, report.embedding)
+        _write(args.map, format_generator_map(report.embedding))
     out = report.output_group
     values = {
         "verdict": report.capability.status,
@@ -206,9 +222,9 @@ def cmd_extend(args) -> int:
 
 
 def cmd_verify_embed(args) -> int:
-    sub = fileformats.parse_group_file(args.sub)
-    big = fileformats.parse_group_file(args.big)
-    gmap = fileformats.parse_map_file(args.map, sub, big)
+    sub = parse_group_text(_read(args.sub))
+    big = parse_group_text(_read(args.big))
+    gmap = parse_generator_map_text(_read(args.map), sub, big)
     if not gmap.consistent:
         _emit(format_report({"embedding_ok": _bool_text(False)}))
         return 3
@@ -219,7 +235,7 @@ def cmd_verify_embed(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = fileformats.parse_group_file(args.file)
+    g = parse_group_text(_read(args.file))
     decomposition = central_decomposition(g)
     lines = [f"order_exp = {g.order_exp}", f"decomposition = {decomposition.status}"]
     if decomposition.status == "found":

@@ -3,7 +3,9 @@
 All three formats are whitespace-separated integers so certificates stay
 human-diffable; `#` starts a comment anywhere.  Writers emit canonical
 form (sorted nonzero commutators, no trailing whitespace), so writing and
-re-parsing is the identity on the underlying objects.
+re-parsing is the identity on the underlying objects.  The module holds
+only the text codecs, ``parse_*_text`` and ``format_*``; the CLI reads and
+writes the files.
 
 Group file:            Identification file:        Map file:
     nilp2 v1               id <vA..> -> <vB..>         gen <k> -> <v..> | <w..>
@@ -16,7 +18,7 @@ Group file:            Identification file:        Map file:
 from __future__ import annotations
 
 from .errors import BadIndex, BadMagic, EntryOutOfRange, ParseError
-from .group_core import GeneratorMap, GroupPresentation, hom_from_images, validate
+from .group_core import GeneratorMap, GroupPresentation, hom_from_images
 from .products import Identification
 
 __all__ = [
@@ -25,14 +27,8 @@ __all__ = [
     "format_group",
     "format_identification",
     "parse_generator_map_text",
-    "parse_group_file",
     "parse_group_text",
     "parse_identification_text",
-    "parse_identification_file",
-    "parse_map_file",
-    "write_group_file",
-    "write_identification_file",
-    "write_map_file",
 ]
 
 GROUP_MAGIC = "nilp2 v1"
@@ -109,17 +105,7 @@ def parse_group_text(text: str) -> GroupPresentation:
         if (j, i) in c:
             raise ParseError(line_no, f"duplicate commutator line for ({j}, {i})")
         c[(j, i)] = _entry_tokens(tokens[3:], m, p, line_no)
-    return validate(p, n, m, c)
-
-
-def parse_group_file(path) -> GroupPresentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_group_text(fh.read())
-
-
-def write_group_file(path, group: GroupPresentation):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_group(group))
+    return GroupPresentation(p, n, m, c)
 
 
 # -- identification files ----------------------------------------------------
@@ -149,16 +135,6 @@ def parse_identification_text(
         source_rows.append(_entry_tokens(tokens[1:arrow], source.m, source.p, line_no))
         target_rows.append(_entry_tokens(tokens[arrow + 1 :], target.m, target.p, line_no))
     return Identification(source, target, tuple(source_rows), tuple(target_rows))
-
-
-def parse_identification_file(path, source, target) -> Identification:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_identification_text(fh.read(), source, target)
-
-
-def write_identification_file(path, ident: Identification):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_identification(ident))
 
 
 # -- generator map files -----------------------------------------------------
@@ -202,13 +178,3 @@ def parse_generator_map_text(
     if missing:
         raise ParseError(0, f"missing images for generators {missing}")
     return hom_from_images(domain, codomain, [images[k] for k in range(1, domain.n + 1)])
-
-
-def parse_map_file(path, domain, codomain) -> GeneratorMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_generator_map_text(fh.read(), domain, codomain)
-
-
-def write_map_file(path, gmap: GeneratorMap):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_generator_map(gmap))

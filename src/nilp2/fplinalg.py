@@ -389,11 +389,6 @@ class Subspace:
         self._check_compatible(other)
         return all(self.contains_vector(row) for row in other.basis)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        stacked = np.concatenate([self.basis, other.basis], axis=0)
-        return Subspace(self.p, self.ambient, stacked)
-
     def complement_projection(self) -> np.ndarray:
         """Matrix of the projection onto the non-pivot coordinates.
 

@@ -25,6 +25,10 @@ vectors, as in the subgroup enumeration): the left vectors against the table
 flattened to n x nm, then the right vectors against that.  The tables
 vanish on the diagonal, so an entry of the first product has at most
 n - 1 terms, and neither product leaves the bound.
+
+The element tables and the subgroup enumeration serve only the desk-scale
+oracles.  The tables take O(order^2 * m) memory, so both refuse a group of
+order above the fixed ORDER_CAP with OrderExceedsCap before they allocate.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .fplinalg import (
 )
 
 __all__ = [
-    "DEFAULT_ORDER_CAP",
+    "ORDER_CAP",
     "CenterInfo",
     "GeneratorMap",
     "GroupElement",
@@ -69,17 +73,16 @@ __all__ = [
     "elementary_abelian",
     "enumerate_subgroups",
     "hom_from_images",
-    "identity_map",
     "inverse",
     "is_monomorphism",
     "multiply",
     "power",
     "quotient_by_central",
-    "validate",
 ]
 
-# Subgroup enumeration and brute-force scans refuse groups above this order.
-DEFAULT_ORDER_CAP = 243
+# The element tables and the subgroup enumeration refuse groups above this
+# order.  It is read at call time.
+ORDER_CAP = 243
 
 
 class GroupPresentation:
@@ -239,11 +242,6 @@ class GroupPresentation:
         return f"<GroupPresentation{tag} p={self.p} n={self.n} m={self.m} order=p^{self.order_exp}>"
 
 
-def validate(p, n, m, c=None, label="") -> GroupPresentation:
-    """Check raw presentation data and return the validated presentation."""
-    return GroupPresentation(p, n, m, c, label=label)
-
-
 def elementary_abelian(p, n, label=None) -> GroupPresentation:
     return GroupPresentation(p, n, 0, {}, label=label if label is not None else f"C{p}^{n}")
 
@@ -305,20 +303,6 @@ class GroupElement:
 
     def w_array(self) -> np.ndarray:
         return np.array(self.w, dtype=np.int64)
-
-    def __mul__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return multiply(self, other)
-
-    def __pow__(self, k):
-        return power(self, k)
-
-    def inverse(self) -> "GroupElement":
-        return inverse(self)
-
-    def commutator(self, other: "GroupElement") -> "GroupElement":
-        return commutator(self, other)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -387,7 +371,6 @@ class CenterInfo:
 
     radical: Subspace
     center_equals_derived: bool
-    center_order_exp: int
 
 
 def center(group: GroupPresentation) -> CenterInfo:
@@ -403,7 +386,7 @@ def center(group: GroupPresentation) -> CenterInfo:
         # v is central iff kappa(v, e_i) = 0 for every i.
         mat = kap.transpose(1, 2, 0).reshape(n * m, n)
         radical = Subspace(group.p, n, kernel_basis(mat, group.p))
-        group._center = CenterInfo(radical, radical.dim == 0, radical.dim + m)
+        group._center = CenterInfo(radical, radical.dim == 0)
     return group._center
 
 
@@ -480,9 +463,6 @@ class GeneratorMap:
         ]
         return Subspace(self.codomain.p, self.codomain.m, rows)
 
-    def derived_image(self) -> Subspace:
-        return self.push_derived(np.eye(self.domain.m, dtype=np.int64))
-
     def __eq__(self, other):
         if not isinstance(other, GeneratorMap):
             return NotImplemented
@@ -535,10 +515,6 @@ def hom_from_images(dom: GroupPresentation, cod: GroupPresentation, images) -> G
     return GeneratorMap(dom, cod, images, matrix, abelianized)
 
 
-def identity_map(group: GroupPresentation) -> GeneratorMap:
-    return hom_from_images(group, group, group.generators())
-
-
 @dataclass(frozen=True)
 class MonoResult:
     """Outcome of an injectivity check: mono, or not_mono with a nontrivial
@@ -588,10 +564,9 @@ def _weights(group: GroupPresentation) -> np.ndarray:
     return group.p ** np.arange(group.order_exp - 1, -1, -1, dtype=np.int64)
 
 
-def _decode(group: GroupPresentation, indices) -> tuple:
-    """The elements with the given indices."""
-    digits = np.asarray(indices, dtype=np.int64).reshape(-1, 1) // _weights(group) % group.p
-    return tuple(GroupElement(group, tuple(row[: group.n]), tuple(row[group.n :])) for row in digits.tolist())
+def _check_order(group: GroupPresentation):
+    if group.order > ORDER_CAP:
+        raise OrderExceedsCap(f"group order {group.order} exceeds the cap {ORDER_CAP}")
 
 
 class _ElementTables:
@@ -599,15 +574,18 @@ class _ElementTables:
 
     Elements are numbered by the mixed-radix value of their digits
     (v_1..v_n, w_1..w_m), so index 0 is the identity.  mul[a, b] is the
-    index of the product, comm[a, b] the index of the commutator.
+    index of the product, comm[a, b] the index of the commutator.  They
+    take O(order^2 * m) memory, so groups above ORDER_CAP are refused
+    before anything is allocated.
     """
 
-    __slots__ = ("group", "size", "identity", "vecs", "mul", "comm", "n", "m")
+    __slots__ = ("size", "identity", "vecs", "mul", "comm")
 
     def __init__(self, group: GroupPresentation):
-        p, n, m = group.p, group.n, group.m
+        _check_order(group)
+        p, n = group.p, group.n
         size = group.order
-        vecs = all_vectors(p, n + m)
+        vecs = all_vectors(p, group.order_exp)
         v = vecs[:, :n]
         w = vecs[:, n:]
         weights = _weights(group)
@@ -620,17 +598,11 @@ class _ElementTables:
         np.mod(vv, p, out=vv)
         mul = vv @ weights[:n]
         mul += ww @ weights[n:]
-        self.group = group
         self.size = size
         self.identity = 0
         self.vecs = vecs
         self.mul = mul.astype(np.int32)
         self.comm = (_kappa(group, v, v) @ weights[n:]).astype(np.int32)
-        self.n = n
-        self.m = m
-
-    def decode(self, index: int) -> GroupElement:
-        return _decode(self.group, index)[0]
 
 
 @lru_cache(maxsize=16)
@@ -651,26 +623,16 @@ class Subgroup:
     def order(self) -> int:
         return len(self.element_indices)
 
-    def generators(self):
-        return _decode(self.group, self.generator_indices)
-
-    def elements(self):
-        return _decode(self.group, sorted(self.element_indices))
-
-    def contains(self, other: "Subgroup") -> bool:
-        return other.element_indices <= self.element_indices
-
     def derived_subspace(self) -> Subspace:
         """Span of the commutators of the stored generators."""
-        gens = np.array([g.v for g in self.generators()], dtype=np.int64).reshape(-1, self.group.n)
-        rows = _kappa(self.group, gens, gens)[np.triu_indices(len(gens), 1)]
-        return Subspace(self.group.p, self.group.m, rows)
+        g = self.group
+        indices = np.array(self.generator_indices, dtype=np.int64).reshape(-1, 1)
+        gens = indices // _weights(g)[: g.n] % g.p
+        rows = _kappa(g, gens, gens)[np.triu_indices(len(gens), 1)]
+        return Subspace(g.p, g.m, rows)
 
-    def sort_key(self):
-        return (len(self.element_indices), tuple(sorted(self.element_indices)))
 
-
-def enumerate_subgroups(group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP):
+def enumerate_subgroups(group: GroupPresentation):
     """Complete, canonically sorted list of subgroups of a small group.
 
     Every subgroup H is exactly one triple (U, W, phi): U <= F_p^n is its
@@ -686,10 +648,9 @@ def enumerate_subgroups(group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP):
     one for U and one for W, builds the element indices of every such H
     (numbered as in the element tables).  H is generated by the lifts of
     U's basis followed by W's basis.  Subgroups are sorted by order, then
-    by their sorted element indices.
+    by their sorted element indices.  Groups above ORDER_CAP are refused.
     """
-    if group.order > cap:
-        raise OrderExceedsCap(f"group order {group.order} exceeds enumeration cap {cap}")
+    _check_order(group)
     p, n, m = group.p, group.n, group.m
     weights = _weights(group)
     v_weights, w_weights = weights[:n], weights[n:]

@@ -48,6 +48,10 @@ class Identification:
     target_basis: tuple
 
     def __post_init__(self):
+        if self.source.p != self.target.p:
+            raise PresentationMismatch(
+                f"identification between moduli {self.source.p} and {self.target.p}"
+            )
         src = tuple(tuple(int(x) % self.source.p for x in vec) for vec in self.source_basis)
         tgt = tuple(tuple(int(x) % self.target.p for x in vec) for vec in self.target_basis)
         object.__setattr__(self, "source_basis", src)
@@ -128,11 +132,6 @@ def direct_product(a: GroupPresentation, b: GroupPresentation) -> ProductResult:
     return ProductResult(product, a, b)
 
 
-def tensor_pair_index(a: GroupPresentation, b: GroupPresentation, j: int, i: int) -> int:
-    """Offset of the tensor coordinate for the pair (x_j of b, x_i of a), 1-based."""
-    return a.m + b.m + (j - 1) * a.n + (i - 1)
-
-
 def _coproduct_c(a: GroupPresentation, b: GroupPresentation):
     """Derived dimension and commutator map of the 2-nilpotent product."""
     m = a.m + b.m + a.n * b.n
@@ -140,7 +139,7 @@ def _coproduct_c(a: GroupPresentation, b: GroupPresentation):
     for j in range(1, b.n + 1):
         for i in range(1, a.n + 1):
             vec = [0] * m
-            vec[tensor_pair_index(a, b, j, i)] = 1
+            vec[a.m + b.m + (j - 1) * a.n + (i - 1)] = 1
             c[(j + a.n, i)] = tuple(vec)
     return m, c
 

@@ -25,12 +25,13 @@ from .capability import (
     epicentre_in_derived,
 )
 from .constructions import build_capable_extension, build_noncapable_extension, extraspecial_p5, heisenberg
-from .errors import SpanDeficit
+from .errors import InvalidIdentification, SpanDeficit
 from .fplinalg import Subspace, kernel_basis
 from .group_core import (
-    DEFAULT_ORDER_CAP,
+    ORDER_CAP,
     GroupPresentation,
     _tables,
+    _weights,
     center,
     cyclic,
     elementary_abelian,
@@ -98,7 +99,7 @@ def random_identification(rng: random.Random, a: GroupPresentation, b: GroupPres
         tgt = tuple(tuple(rng.randrange(b.p) for _ in range(b.m)) for _ in range(size))
         try:
             return Identification(a, b, src, tgt)
-        except Exception:
+        except InvalidIdentification:
             continue
 
 
@@ -156,11 +157,7 @@ def _battery_p3():
 def _closure_size(group: GroupPresentation) -> int:
     """Order of the subgroup generated by the generators, via index tables."""
     t = _tables(group)
-    weights = group.p ** np.arange(group.order_exp - 1, -1, -1, dtype=np.int64)
-    gen_indices = []
-    for g in group.generators():
-        digits = np.array(g.v + g.w, dtype=np.int64)
-        gen_indices.append(int(digits @ weights))
+    gen_indices = _weights(group)[: group.n].tolist()
     seen = {t.identity}
     frontier = [t.identity]
     while frontier:
@@ -203,7 +200,7 @@ def check_group_axioms() -> CriterionResult:
             if not power(a, g.p).is_identity:
                 problems.append(f"{g.label}: exponent")
                 break
-        if g.order <= 243 and _closure_size(g) != g.order:
+        if _closure_size(g) != g.order:
             problems.append(f"{g.label}: order")
     return CriterionResult(1, "group_axioms", not problems, "; ".join(problems))
 
@@ -297,7 +294,7 @@ def check_amalgam_laws() -> CriterionResult:
         decomposition = central_decomposition(g)
         if decomposition.status != "none":
             problems.append(f"case {idx}: decomposition {decomposition.status}")
-        if g.order <= DEFAULT_ORDER_CAP and central_decomposition_search(g).status != "none":
+        if g.order <= ORDER_CAP and central_decomposition_search(g).status != "none":
             problems.append(f"case {idx}: search found a decomposition")
     return CriterionResult(4, "amalgam_laws", not problems, "; ".join(problems))
 

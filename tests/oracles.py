@@ -1,23 +1,48 @@
 """Reference implementations for differential tests: subgroup enumeration
-by coset growth, injectivity by a kernel scan, and map composition by
-applying one map to the other's generator images."""
+by coset growth, injectivity by a kernel scan, map composition by applying
+one map to the other's generator images, the Jacobi relation vector of one
+triple, and the elements behind element-table indices."""
 
 import numpy as np
 
-from nilp2.errors import OrderExceedsCap, PresentationMismatch
-from nilp2.group_core import DEFAULT_ORDER_CAP, GroupPresentation, Subgroup, _tables, hom_from_images
+from nilp2.errors import PresentationMismatch
+from nilp2.group_core import GroupPresentation, Subgroup, _tables, _weights, hom_from_images
 
 
-def reference_subgroups(group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP):
+def jacobi_vector(group: GroupPresentation, x: int, y: int, z: int) -> np.ndarray:
+    """Relation vector for generator indices (1-based); repeats are allowed
+    and make the vector vanish."""
+    kap = group.kappa_table()
+    n, m = group.n, group.m
+    out = np.zeros(m * n, dtype=np.int64)
+    if m == 0:
+        return out
+    slots = np.arange(m) * n
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        out[slots + (c - 1)] += kap[a - 1, b - 1]
+    return np.mod(out, group.p)
+
+
+def decode(group: GroupPresentation, indices) -> tuple:
+    """The elements with the given indices, numbered as in the element
+    tables: the mixed-radix value of the digits (v_1..v_n, w_1..w_m)."""
+    digits = np.asarray(indices, dtype=np.int64).reshape(-1, 1) // _weights(group) % group.p
+    return tuple(group.element(row[: group.n], row[group.n :]) for row in digits.tolist())
+
+
+def _sort_key(sub: Subgroup):
+    return (sub.order, tuple(sorted(sub.element_indices)))
+
+
+def reference_subgroups(group: GroupPresentation):
     """Complete, canonically sorted list of subgroups of a small group.
 
     Grows subgroups layer by layer: a subgroup of order p^(k+1) is always
     generated by one of its (normal, index-p) subgroups of order p^k plus
     one extra element that normalizes it, which in class 2 reduces to the
-    commutator test [h, g] in H on generators.
+    commutator test [h, g] in H on generators.  The element tables refuse
+    groups above ORDER_CAP.
     """
-    if group.order > cap:
-        raise OrderExceedsCap(f"group order {group.order} exceeds enumeration cap {cap}")
     t = _tables(group)
     size = t.size
     trivial = Subgroup(group, frozenset((t.identity,)), ())
@@ -25,7 +50,7 @@ def reference_subgroups(group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP):
     layer = [trivial]
     while layer:
         fresh = {}
-        for sub in sorted(layer, key=Subgroup.sort_key):
+        for sub in sorted(layer, key=_sort_key):
             fs = sub.element_indices
             members = np.zeros(size, dtype=bool)
             members[list(fs)] = True
@@ -49,7 +74,7 @@ def reference_subgroups(group: GroupPresentation, cap: int = DEFAULT_ORDER_CAP):
                     fresh[key] = Subgroup(group, key, sub.generator_indices + (g,))
         found.update(fresh)
         layer = list(fresh.values())
-    return tuple(sorted(found.values(), key=Subgroup.sort_key))
+    return tuple(sorted(found.values(), key=_sort_key))
 
 
 def brute_force_mono(f) -> str:

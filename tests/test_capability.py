@@ -12,11 +12,10 @@ from nilp2.capability import (
     epicentre_cross_check,
     epicentre_in_derived,
     jacobi_subspace,
-    jacobi_vector,
     rp_membership,
 )
 from nilp2.constructions import build_capable_extension, extraspecial_p5, heisenberg
-from nilp2.errors import PreconditionCenterNotDerived, SpanDeficit
+from nilp2.errors import OrderExceedsCap, PreconditionCenterNotDerived, SpanDeficit
 from nilp2.fileformats import format_group, parse_group_text
 from nilp2.fplinalg import Subspace, rref
 from nilp2.group_core import GroupPresentation, center, cyclic, elementary_abelian
@@ -28,23 +27,23 @@ from nilp2.selfcheck import (
     random_presentation,
     rebase,
 )
+from oracles import jacobi_vector
 
 
 # -- relation subspace ------------------------------------------------------------
 
 
 def test_jacobi_no_triples():
-    assert jacobi_subspace(heisenberg(3)).space.dim == 0
+    assert jacobi_subspace(heisenberg(3)).dim == 0
 
 
 def test_jacobi_abelian():
-    assert jacobi_subspace(elementary_abelian(3, 3)).space.dim == 0
+    assert jacobi_subspace(elementary_abelian(3, 3)).dim == 0
 
 
 def test_jacobi_extraspecial_is_full():
     e = extraspecial_p5(3)
-    js = jacobi_subspace(e)
-    assert js.space == Subspace.full(3, 4)
+    assert jacobi_subspace(e) == Subspace.full(3, 4)
     # the four expected generators, written in the (derived major) flattening
     expected = {
         (1, 2, 3): (0, 0, 2, 0),
@@ -52,15 +51,15 @@ def test_jacobi_extraspecial_is_full():
         (1, 3, 4): (2, 0, 0, 0),
         (2, 3, 4): (0, 2, 0, 0),
     }
-    assert dict(js.generators) == expected
+    for triple, vec in expected.items():
+        assert tuple(int(x) for x in jacobi_vector(e, *triple)) == vec
 
 
 def test_jacobi_rows_are_the_relation_vectors():
     g = random_presentation(random.Random(5), 5, max_n=6)
-    js = jacobi_subspace(g)
-    assert len(js.generators) == len(list(itertools.combinations(range(g.n), 3)))
-    for triple, vec in js.generators:
-        assert vec == tuple(int(x) for x in jacobi_vector(g, *triple))
+    triples = itertools.combinations(range(1, g.n + 1), 3)
+    vectors = [jacobi_vector(g, *triple) for triple in triples]
+    assert jacobi_subspace(g) == Subspace(g.p, g.m * g.n, np.array(vectors).reshape(-1, g.m * g.n))
 
 
 def test_jacobi_vanishes_on_repeats():
@@ -194,6 +193,14 @@ def test_verdict_abelian_rule():
     assert (v.status, v.method) == ("capable", "baer_abelian")
     v = capability_verdict(elementary_abelian(5, 3))
     assert v.status == "capable"
+
+
+def test_trivial_group_is_capable_and_agrees_with_the_epicentre():
+    # Baer: an elementary abelian group is capable unless cyclic of order p.
+    g = elementary_abelian(3, 0)
+    v = capability_verdict(g)
+    assert (v.status, v.method) == ("capable", "baer_abelian")
+    assert epicentre_in_derived(g).dim == 0
 
 
 def test_verdict_extraspecial_two_methods_agree():
@@ -336,7 +343,8 @@ def test_search_extraspecial_witness():
 def test_search_exceeds_cap():
     e = extraspecial_p5(3)
     res = amalgamated_coproduct(e, e, center_line_identification(e, e))
-    assert central_decomposition_search(res.group).status == "exceeds_cap"
+    with pytest.raises(OrderExceedsCap):
+        central_decomposition_search(res.group)
 
 
 def test_search_none_for_small_amalgams():

@@ -236,6 +236,17 @@ def test_amalgam_product_command(tmp_path, capsys):
     assert "m = 5" in out
 
 
+def test_amalgam_of_different_moduli_is_refused(tmp_path, capsys):
+    c = "c 2 1 1 0\nc 3 1 0 1\n"
+    a = write(tmp_path, "a.grp", "nilp2 v1\np 3\nn 3\nm 2\n" + c)
+    b = write(tmp_path, "b.grp", "nilp2 v1\np 5\nn 3\nm 2\n" + c)
+    ident = write(tmp_path, "x.id", "id 1 0 -> 1 3\nid 0 1 -> 2 1\n")
+    out_path = str(tmp_path / "am.grp")
+    assert main(["product", "--kind", "amalgam", a, b, "--identify", ident, "-o", out_path]) == 2
+    assert main(["product", "--kind", "amalgam", a, b, "-o", out_path]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_extend_command_report(tmp_path, capsys):
     h = write(tmp_path, "h.grp", HEISENBERG_FILE)
     out_path = str(tmp_path / "g2.grp")

@@ -15,7 +15,7 @@ from nilp2.constructions import (
 )
 from nilp2.errors import NotOddPrime, TrivialInput
 from nilp2.fileformats import format_group, parse_group_text
-from nilp2.group_core import GroupPresentation, cyclic, elementary_abelian, hom_from_images, identity_map
+from nilp2.group_core import GroupPresentation, cyclic, elementary_abelian, hom_from_images
 from nilp2.products import Identification, central_product_identified, direct_product, nilpotent2_product
 from nilp2.selfcheck import _battery_p3, random_presentation, rebase
 from oracles import assert_same_map, compose
@@ -270,7 +270,7 @@ def _composite_embedding(rep):
         stage = nilpotent2_product(g, cyclic(g.p))
         base, f = stage.group, stage.embed_left
     else:
-        base, f = g, identity_map(g)
+        base, f = g, hom_from_images(g, g, g.generators())
     free2 = heisenberg(g.p)
     if rep.mode == "capable":
         last = nilpotent2_product(base, free2)

@@ -16,7 +16,7 @@ from nilp2.fileformats import (
     parse_group_text,
     parse_identification_text,
 )
-from nilp2.group_core import elementary_abelian, hom_from_images, identity_map
+from nilp2.group_core import elementary_abelian, hom_from_images
 from nilp2.products import direct_product
 from nilp2.selfcheck import random_identification, random_presentation
 
@@ -54,7 +54,7 @@ H3_C3 = direct_product(H3, elementary_abelian(3, 1)).group
 H3_C3_MAP = hom_from_images(H3, H3_C3, [H3_C3.element((1, 0, 1), (2,)), H3_C3.element((0, 1, 0), (0,))])
 GROUP_TEXTS = [format_group(H3), format_group(H3_C3), format_group(extraspecial_p5(5))]
 IDENTIFICATION_TEXTS = ["id 1 -> 2\n", "id 2 -> 1 # glue\n"]
-MAP_TEXTS = [format_generator_map(H3_C3_MAP), format_generator_map(identity_map(H3_C3))]
+MAP_TEXTS = [format_generator_map(H3_C3_MAP), format_generator_map(hom_from_images(H3_C3, H3_C3, H3_C3.generators()))]
 
 
 def _parses_or_refuses(parse, text, *args):

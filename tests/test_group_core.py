@@ -15,7 +15,7 @@ from nilp2.errors import (
     PresentationMismatch,
     SpanDeficit,
 )
-from nilp2.fplinalg import Subspace
+from nilp2.fplinalg import Subspace, solve_matrix
 from nilp2.group_core import (
     GroupPresentation,
     MonoResult,
@@ -25,17 +25,17 @@ from nilp2.group_core import (
     elementary_abelian,
     enumerate_subgroups,
     hom_from_images,
-    identity_map,
     inverse,
     is_monomorphism,
     multiply,
     power,
     quotient_by_central,
-    validate,
 )
+from nilp2 import group_core
 from nilp2.products import direct_product
-from nilp2.selfcheck import random_presentation
-from oracles import brute_force_mono
+from nilp2.selfcheck import random_presentation, rebase
+from oracles import brute_force_mono, compose, decode
+from test_capability import _random_invertible
 
 BATTERY = [
     cyclic(3),
@@ -50,35 +50,35 @@ BATTERY = [
 
 
 def test_validate_heisenberg():
-    g = validate(3, 2, 1, {(2, 1): (1,)})
+    g = GroupPresentation(3, 2, 1, {(2, 1): (1,)})
     assert (g.p, g.n, g.m) == (3, 2, 1)
     assert g.order == 27
 
 
 def test_validate_span_deficit():
     with pytest.raises(SpanDeficit) as exc:
-        validate(3, 2, 2, {(2, 1): (1, 0)})
+        GroupPresentation(3, 2, 2, {(2, 1): (1, 0)})
     assert exc.value.actual_rank == 1
     assert exc.value.expected_dim == 2
 
 
 def test_validate_rejects_even_prime():
     with pytest.raises(NotOddPrime):
-        validate(2, 2, 1, {(2, 1): (1,)})
+        GroupPresentation(2, 2, 1, {(2, 1): (1,)})
 
 
 def test_validate_bad_index():
     with pytest.raises(BadIndex):
-        validate(3, 2, 1, {(1, 2): (1,)})
+        GroupPresentation(3, 2, 1, {(1, 2): (1,)})
     with pytest.raises(BadIndex):
-        validate(3, 2, 1, {(3, 1): (1,)})
+        GroupPresentation(3, 2, 1, {(3, 1): (1,)})
 
 
 def test_validate_entry_out_of_range():
     with pytest.raises(EntryOutOfRange):
-        validate(3, 2, 1, {(2, 1): (3,)})
+        GroupPresentation(3, 2, 1, {(2, 1): (3,)})
     with pytest.raises(EntryOutOfRange):
-        validate(3, 2, 1, {(2, 1): (-1,)})
+        GroupPresentation(3, 2, 1, {(2, 1): (-1,)})
 
 
 def test_validate_refuses_a_modulus_whose_sums_overflow():
@@ -87,10 +87,10 @@ def test_validate_refuses_a_modulus_whose_sums_overflow():
     # w = (1,) instead of 2147483641.
     p = 2**31 - 1
     with pytest.raises(ModulusTooLarge):
-        validate(p, 2, 1, {(2, 1): (p - 1,)})
+        GroupPresentation(p, 2, 1, {(2, 1): (p - 1,)})
     # n(n - 1)(p - 1)^3 is the bound; one generator has no commutators.
-    assert validate(p, 1, 0).order == p
-    g = validate(101, 3, 1, {(2, 1): (100,), (3, 2): (99,)})
+    assert GroupPresentation(p, 1, 0).order == p
+    g = GroupPresentation(101, 3, 1, {(2, 1): (100,), (3, 2): (99,)})
     (a1, a2, a3), (b1, b2, b3) = (100, 99, 98), (98, 96, 95)
     a, b = g.element((a1, a2, a3), (97,)), g.element((b1, b2, b3), (0,))
     assert multiply(a, b).w == ((97 + a2 * b1 * 100 + a3 * b2 * 99) % 101,)
@@ -98,7 +98,7 @@ def test_validate_refuses_a_modulus_whose_sums_overflow():
 
 
 def test_presentation_equality_ignores_label():
-    a = validate(3, 2, 1, {(2, 1): (1,)})
+    a = GroupPresentation(3, 2, 1, {(2, 1): (1,)})
     assert a == heisenberg(3)
     assert hash(a) == hash(heisenberg(3))
 
@@ -181,7 +181,6 @@ def test_center_heisenberg():
     info = center(heisenberg(3))
     assert info.center_equals_derived
     assert info.radical.dim == 0
-    assert info.center_order_exp == 1
 
 
 def test_center_abelian():
@@ -189,13 +188,12 @@ def test_center_abelian():
     info = center(g)
     assert not info.center_equals_derived
     assert info.radical == Subspace.full(3, 2)
-    assert info.center_order_exp == 2
 
 
 def test_center_extraspecial():
     info = center(extraspecial_p5(3))
     assert info.center_equals_derived
-    assert info.center_order_exp == 1
+    assert info.radical.dim == 0
 
 
 def test_center_partner_property():
@@ -245,7 +243,8 @@ def test_quotient_projection_consistent_and_surjective():
 
 
 def test_identity_map_consistent():
-    f = identity_map(heisenberg(3))
+    g = heisenberg(3)
+    f = hom_from_images(g, g, g.generators())
     assert f.consistent
     assert is_monomorphism(f).status == "mono"
 
@@ -365,6 +364,42 @@ def test_monomorphism_matches_kernel_scan(f):
         assert mono.witness is None
 
 
+def _change_of_generators(f, a, b):
+    """(alpha, beta) for the rebased domain and codomain: alpha sends
+    y_k to prod_i x_i^(a[i, k]); beta has abelianization b^-1 and induces
+    the identity on the derived subgroup, so both are isomorphisms."""
+    dom, cod = f.domain, f.codomain
+    new_dom, new_cod = rebase(dom, a), rebase(cod, b)
+    images = []
+    for k in range(dom.n):
+        img = dom.identity()
+        for i, x in enumerate(dom.generators()):
+            img = multiply(img, power(x, int(a[i, k])))
+        images.append(img)
+    alpha = hom_from_images(new_dom, dom, images)
+    b_inv = solve_matrix(b, np.eye(cod.n, dtype=np.int64), cod.p)
+    beta = hom_from_images(cod, new_cod, [new_cod.element(col, (0,) * cod.m) for col in b_inv.T])
+    return alpha, beta
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=consistent_maps(), seed=st.integers(0, 2**32 - 1))
+def test_monomorphism_invariant_under_change_of_generators(f, seed):
+    rng = random.Random(seed)
+    p = f.domain.p
+    alpha, beta = _change_of_generators(
+        f, _random_invertible(rng, p, f.domain.n), _random_invertible(rng, p, f.codomain.n)
+    )
+    assert alpha.consistent and beta.consistent
+    assert is_monomorphism(alpha).status == is_monomorphism(beta).status == "mono"
+    g = compose(compose(alpha, f), beta)
+    mono = is_monomorphism(g)
+    assert mono.status == is_monomorphism(f).status
+    if mono.status == "not_mono":
+        assert not mono.witness.is_identity
+        assert g.apply(mono.witness).is_identity
+
+
 # -- subgroup enumeration --------------------------------------------------------
 
 
@@ -390,16 +425,26 @@ def test_enumerate_heisenberg():
 def test_enumerate_subgroups_are_closed():
     for g in (elementary_abelian(3, 2), heisenberg(3)):
         for sub in enumerate_subgroups(g):
-            elems = set(sub.elements())
+            elems = set(decode(g, sorted(sub.element_indices)))
             for a in elems:
                 assert inverse(a) in elems
                 for b in elems:
                     assert multiply(a, b) in elems
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
     with pytest.raises(OrderExceedsCap):
-        enumerate_subgroups(extraspecial_p5(3), cap=81)
+        enumerate_subgroups(elementary_abelian(3, 6))
+    # The cap is read at call time.
+    monkeypatch.setattr(group_core, "ORDER_CAP", 81)
+    with pytest.raises(OrderExceedsCap):
+        enumerate_subgroups(extraspecial_p5(3))
+
+
+def test_element_tables_refuse_above_the_cap():
+    group_core._tables.cache_clear()
+    with pytest.raises(OrderExceedsCap):
+        group_core._tables(elementary_abelian(3, 6))
 
 
 def test_order_by_exhaustive_closure():

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from nilp2.constructions import extraspecial_p5, heisenberg
 from nilp2.errors import InvalidIdentification, PresentationMismatch, TrivialFactor
 from nilp2.group_core import (
+    GroupPresentation,
     center,
     cyclic,
     elementary_abelian,
@@ -30,6 +32,10 @@ def empty(a, b):
     return Identification(a, b, (), ())
 
 
+def _derived_image(f):
+    return f.push_derived(np.eye(f.domain.m, dtype=np.int64))
+
+
 # -- direct product -------------------------------------------------------------
 
 
@@ -53,6 +59,17 @@ def test_direct_product_blocks():
 def test_direct_product_prime_mismatch():
     with pytest.raises(PresentationMismatch):
         direct_product(cyclic(3), cyclic(5))
+
+
+def test_identification_refuses_mixed_moduli():
+    # The target rows (1, 3) and (2, 1) are dependent mod 5 (det = -5), and
+    # were once tested mod the source's prime 3 only.
+    c = {(2, 1): (1, 0), (3, 1): (0, 1)}
+    a, b = GroupPresentation(3, 3, 2, c), GroupPresentation(5, 3, 2, c)
+    with pytest.raises(PresentationMismatch):
+        Identification(a, b, ((1, 0), (0, 1)), ((1, 3), (2, 1)))
+    with pytest.raises(PresentationMismatch):
+        Identification(a, b, (), ())
 
 
 # -- 2-nilpotent product ---------------------------------------------------------
@@ -142,8 +159,8 @@ def test_central_product_glued_overlap():
     ident = centers(a, b)
     res = central_product_identified(a, b, ident)
     assert res.group.m == a.m + b.m - 1
-    left = res.embed_left.derived_image()
-    right = res.embed_right.derived_image()
+    left = _derived_image(res.embed_left)
+    right = _derived_image(res.embed_right)
     meet = left.intersect(right)
     assert meet == res.embed_left.push_derived(ident.source_basis)
     assert meet.dim == 1
@@ -198,7 +215,7 @@ def test_amalgam_embeddings_mono_and_overlap():
         res = amalgamated_coproduct(a, b, ident)
         assert is_monomorphism(res.embed_left).status == "mono"
         assert is_monomorphism(res.embed_right).status == "mono"
-        meet = res.embed_left.derived_image().intersect(res.embed_right.derived_image())
+        meet = _derived_image(res.embed_left).intersect(_derived_image(res.embed_right))
         assert meet.dim == ident.size
         assert meet == res.embed_left.push_derived(ident.source_basis)
 
