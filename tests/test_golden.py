@@ -20,6 +20,7 @@ TRANSCRIPT = os.path.join(GOLDEN, "transcript.txt")
 # H3, C3^2, E5 = 3^{1+4}, H3 x C3 on y_k = x_1 + ... + x_k, the trivial
 # group, and the extraspecial group of order 3^7.
 INPUTS = ("h3.grp", "c3sq.grp", "e5.grp", "h3xc3.grp", "trivial.grp", "e3_7.grp")
+KINDS = ("direct", "nilpotent2", "central", "amalgam")
 
 
 def _commands():
@@ -38,15 +39,23 @@ def _commands():
             out.append((["verify-embed", f"{base}.grp", files[0], "--map", files[1]], ()))
             for command in ("rp-check", "decompose"):
                 out.append(([command, files[0]], ()))
-    for kind in ("direct", "nilpotent2", "central", "amalgam"):
-        files = (f"{kind}.grp", f"{kind}.a.map", f"{kind}.b.map")
-        ident = ["--identify", "h3_id.txt"] if kind in ("central", "amalgam") else []
+    # (kind, left, right, identified): two copies of H3, two abelian
+    # factors, and two factors with m = 1 but different ranks.
+    products = [(kind, "h3", "h3", kind in ("central", "amalgam")) for kind in KINDS]
+    products += [(kind, "c3sq", "c3sq", False) for kind in KINDS]
+    products += [(kind, "e5", "h3xc3", True) for kind in ("central", "amalgam")]
+    for kind, left, right, identified in products:
+        stem = kind if left == right == "h3" else f"{kind}.{left}.{right}"
+        files = (f"{stem}.grp", f"{stem}.a.map", f"{stem}.b.map")
+        ident = ["--identify", "h3_id.txt"] if identified else []
         out.append(
-            (["product", "--kind", kind, "h3.grp", "h3.grp", *ident, "-o", files[0], "--map-a", files[1], "--map-b", files[2]], files)
+            (["product", "--kind", kind, f"{left}.grp", f"{right}.grp", *ident, "-o", files[0], "--map-a", files[1], "--map-b", files[2]], files)
         )
-        out.append((["verify-embed", "h3.grp", files[0], "--map", files[1]], ()))
-        out.append((["verify-embed", "h3.grp", files[0], "--map", files[2]], ()))
+        out.append((["verify-embed", f"{left}.grp", files[0], "--map", files[1]], ()))
+        out.append((["verify-embed", f"{right}.grp", files[0], "--map", files[2]], ()))
         out.append((["capable", files[0]], ()))
+    # The amalgam refuses a trivial factor and writes nothing.
+    out.append((["product", "--kind", "amalgam", "h3.grp", "trivial.grp", "-o", "amalgam.trivial.grp"], ()))
     out.append((["selftest"], ()))
     return out
 
