@@ -51,6 +51,7 @@ from .group_core import (
     _kappa,
     center,
     enumerate_subgroups,
+    from_kappa,
     quotient_by_central,
 )
 
@@ -104,9 +105,7 @@ def _radical_complement(group: GroupPresentation, radical: Subspace) -> GroupPre
     c'(b, a) = kappa(e_{f_b}, e_{f_a}) and G's derived coordinates."""
     pivots = set(radical.pivots)
     free = [f for f in range(group.n) if f not in pivots]
-    kap = group.kappa_table()
-    c = {(b + 1, a + 1): kap[fb, fa] for b, fb in enumerate(free) for a, fa in enumerate(free[:b])}
-    return GroupPresentation(group.p, len(free), group.m, c)
+    return from_kappa(group.p, group.kappa_table()[np.ix_(free, free)])
 
 
 def epicentre_in_derived(group: GroupPresentation) -> Subspace:

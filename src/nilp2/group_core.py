@@ -72,6 +72,7 @@ __all__ = [
     "commutator",
     "elementary_abelian",
     "enumerate_subgroups",
+    "from_kappa",
     "hom_from_images",
     "inverse",
     "is_monomorphism",
@@ -156,20 +157,14 @@ class GroupPresentation:
         # The c-vectors span F_p^m, so m = 0 iff every commutator vanishes.
         return self.m == 0
 
-    def _c_arrays(self):
-        """The zero-based j and i of every nonzero commutator, and their
-        vectors as rows."""
-        keys = np.array([key for key, _ in self.c_items], dtype=np.intp).reshape(-1, 2) - 1
-        vectors = np.array([vec for _, vec in self.c_items], dtype=np.int64)
-        return keys[:, 0], keys[:, 1], vectors.reshape(len(keys), self.m)
-
     def kappa_table(self) -> np.ndarray:
         """Full antisymmetric pairing, shape (n, n, m)."""
         if self._kappa is None:
             k = np.zeros((self.n, self.n, self.m), dtype=np.int64)
-            j, i, vectors = self._c_arrays()
-            k[j, i] = vectors
-            k[i, j] = np.mod(-vectors, self.p)
+            keys = np.array([key for key, _ in self.c_items], dtype=np.intp).reshape(-1, 2) - 1
+            vectors = np.array([vec for _, vec in self.c_items], dtype=np.int64).reshape(len(keys), self.m)
+            k[keys[:, 0], keys[:, 1]] = vectors
+            k[keys[:, 1], keys[:, 0]] = np.mod(-vectors, self.p)
             k.flags.writeable = False
             self._kappa = k
         return self._kappa
@@ -177,9 +172,8 @@ class GroupPresentation:
     def delta_table(self) -> np.ndarray:
         """Collection table: c(j, i) at slot (j-1, i-1) for j > i, else zero."""
         if self._delta is None:
-            d = np.zeros((self.n, self.n, self.m), dtype=np.int64)
-            j, i, vectors = self._c_arrays()
-            d[j, i] = vectors
+            below = np.tri(self.n, k=-1, dtype=bool)[:, :, None]
+            d = np.where(below, self.kappa_table(), 0)
             d.flags.writeable = False
             self._delta = d
         return self._delta
@@ -390,7 +384,17 @@ def center(group: GroupPresentation) -> CenterInfo:
     return group._center
 
 
-def quotient_by_central(group: GroupPresentation, sub: Subspace, label=None):
+def from_kappa(p, kap, label="") -> GroupPresentation:
+    """The presentation with c(j, i) = kap[j-1, i-1] mod p for j > i, read
+    from an (n, n, m) pairing array below its diagonal; the entries on and
+    above the diagonal are not read."""
+    n, _, m = kap.shape
+    j, i = np.tril_indices(n, -1)
+    keys = zip((j + 1).tolist(), (i + 1).tolist())
+    return GroupPresentation(p, n, m, dict(zip(keys, np.mod(kap[j, i], p).tolist())), label=label)
+
+
+def quotient_by_central(group: GroupPresentation, sub: Subspace):
     """Quotient by a subspace of the derived coordinates.
 
     The surviving derived coordinates are the non-pivot coordinates of
@@ -403,16 +407,8 @@ def quotient_by_central(group: GroupPresentation, sub: Subspace, label=None):
             f"subspace lives in F_{sub.p}^{sub.ambient}, derived space is F_{group.p}^{group.m}"
         )
     q = sub.complement_projection()
-    new_c = {}
-    for (j, i), vec in group.c_items:
-        new_c[(j, i)] = tuple(int(x) for x in np.mod(q @ np.array(vec, dtype=np.int64), group.p))
-    return GroupPresentation(
-        group.p,
-        group.n,
-        group.m - sub.dim,
-        new_c,
-        label=label if label is not None else (f"{group.label}/N" if group.label else ""),
-    )
+    label = f"{group.label}/N" if group.label else ""
+    return from_kappa(group.p, group.delta_table() @ q.T, label)
 
 
 # -- homomorphisms -----------------------------------------------------------

@@ -1,15 +1,20 @@
 """Product constructors: direct, 2-nilpotent, central with identification,
 and the amalgamated coproduct.
 
-Every constructor returns the product presentation together with its two
-factors.  Generator order is fixed: the left factor's generators always
-come first, so each canonical embedding is the inclusion x_i -> x_i of the
-factor's generators, solved on the final product when first read.
-In the 2-nilpotent product the derived space splits as (left block) +
-(right block) + (tensor block), the tensor block holding one coordinate
-per generator pair (j in right factor, i in left factor), ordered
-lexicographically by (j, i); the coordinate of [x_j, x_i] is the
-corresponding tensor basis vector.
+All four are one builder, ``_product``, which fills one pairing array and
+builds the product presentation from it once.  Generator order is fixed:
+the left factor's generators always come first, so each canonical
+embedding is the inclusion x_i -> x_i of the factor's generators, solved
+on the final product when first read.
+
+Before any quotient the derived coordinates are (left block) + (right
+block), followed in the 2-nilpotent product and the amalgam by the tensor
+block: one coordinate per generator pair (j in right factor, i in left
+factor), ordered lexicographically by (j, i), the coordinate of [x_j, x_i]
+being the corresponding tensor basis vector.  The central product and the
+amalgam then divide out span{h - phi(h)} for the identification's pairs
+(h, phi(h)), keeping the non-pivot coordinates of its echelon basis; an
+empty identification divides out nothing, so no quotient is taken.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidIdentification, PresentationMismatch, TrivialFactor
 from .fplinalg import Subspace, rref
-from .group_core import GeneratorMap, GroupPresentation, hom_from_images, quotient_by_central
+from .group_core import GeneratorMap, GroupPresentation, from_kappa, hom_from_images
 
 __all__ = [
     "Identification",
@@ -97,51 +102,44 @@ class ProductResult:
         return hom_from_images(self.right, self.group, self.group.generators()[self.left.n :])
 
 
-def _check_same_p(a: GroupPresentation, b: GroupPresentation):
+def _product(a, b, ident, tensor: bool, op: str) -> ProductResult:
+    """The product of a and b, with the tensor block when tensor is set,
+    glued along ident when it is given; op names it in the label.
+
+    Only the pairs below the diagonal are projected, as they are all that
+    from_kappa reads.
+    """
     if a.p != b.p:
         raise PresentationMismatch(f"factors have different moduli {a.p} and {b.p}")
-
-
-def _pair_label(op: str, a: GroupPresentation, b: GroupPresentation) -> str:
-    if a.label and b.label:
-        return f"{op}({a.label},{b.label})"
-    return ""
-
-
-def _block_c(a: GroupPresentation, b: GroupPresentation, m_total: int, b_offset: int):
-    """Block-diagonal commutator map of the two factors inside F_p^m_total."""
-    c = {}
-    for (j, i), vec in a.c_items:
-        out = [0] * m_total
-        out[: a.m] = list(vec)
-        c[(j, i)] = tuple(out)
-    for (j, i), vec in b.c_items:
-        out = [0] * m_total
-        out[b_offset : b_offset + b.m] = list(vec)
-        c[(j + a.n, i + a.n)] = tuple(out)
-    return c
+    if ident is not None and (ident.source != a or ident.target != b):
+        raise InvalidIdentification("identification was built for different factors")
+    # Only the amalgam is both glued and tensored.
+    if ident is not None and tensor and (a.order == 1 or b.order == 1):
+        raise TrivialFactor("amalgamated coproduct requires nontrivial factors")
+    p, n = a.p, a.n + b.n
+    m = a.m + b.m + (a.n * b.n if tensor else 0)
+    table = np.zeros((n, n, m), dtype=np.int64)
+    table[: a.n, : a.n, : a.m] = a.delta_table()
+    table[a.n :, a.n :, a.m : a.m + b.m] = b.delta_table()
+    if tensor:
+        j, i = np.indices((b.n, a.n)).reshape(2, -1)
+        table[a.n + j, i, a.m + b.m + j * a.n + i] = 1
+    if ident is not None and ident.size:
+        glue = np.zeros((ident.size, m), dtype=np.int64)
+        glue[:, : a.m] = ident.source_basis
+        glue[:, a.m : a.m + b.m] = np.negative(ident.target_basis)
+        q = Subspace(p, m, glue).complement_projection()
+        below = np.tri(n, k=-1, dtype=bool)
+        rows = table[below] @ q.T
+        table = np.zeros((n, n, len(q)), dtype=np.int64)
+        table[below] = rows
+    label = f"{op}({a.label},{b.label})" if a.label and b.label else ""
+    return ProductResult(from_kappa(p, table, label), a, b)
 
 
 def direct_product(a: GroupPresentation, b: GroupPresentation) -> ProductResult:
     """Direct product: block-diagonal commutators, all cross pairs trivial."""
-    _check_same_p(a, b)
-    m = a.m + b.m
-    product = GroupPresentation(
-        a.p, a.n + b.n, m, _block_c(a, b, m, a.m), label=_pair_label("dir", a, b)
-    )
-    return ProductResult(product, a, b)
-
-
-def _coproduct_c(a: GroupPresentation, b: GroupPresentation):
-    """Derived dimension and commutator map of the 2-nilpotent product."""
-    m = a.m + b.m + a.n * b.n
-    c = _block_c(a, b, m, a.m)
-    for j in range(1, b.n + 1):
-        for i in range(1, a.n + 1):
-            vec = [0] * m
-            vec[a.m + b.m + (j - 1) * a.n + (i - 1)] = 1
-            c[(j + a.n, i)] = tuple(vec)
-    return m, c
+    return _product(a, b, None, False, "dir")
 
 
 def nilpotent2_product(a: GroupPresentation, b: GroupPresentation) -> ProductResult:
@@ -150,27 +148,7 @@ def nilpotent2_product(a: GroupPresentation, b: GroupPresentation) -> ProductRes
     The derived space gains one fresh coordinate per (right generator,
     left generator) pair, so m = m_a + m_b + n_a*n_b.
     """
-    _check_same_p(a, b)
-    m, c = _coproduct_c(a, b)
-    product = GroupPresentation(a.p, a.n + b.n, m, c, label=_pair_label("nil2", a, b))
-    return ProductResult(product, a, b)
-
-
-def _check_identification(a, b, ident: Identification):
-    if ident.source != a or ident.target != b:
-        raise InvalidIdentification("identification was built for different factors")
-
-
-def _glue(a, b, ident: Identification, m: int) -> Subspace:
-    """span{h - phi(h)} in F_p^m, whose first a.m coordinates are a's
-    derived block and the next b.m are b's."""
-    rows = []
-    for h, k in zip(ident.source_basis, ident.target_basis):
-        row = [0] * m
-        row[: a.m] = list(h)
-        row[a.m : a.m + b.m] = [(-int(x)) % b.p for x in k]
-        rows.append(row)
-    return Subspace(a.p, m, rows)
+    return _product(a, b, None, True, "nil2")
 
 
 def central_product_identified(
@@ -178,19 +156,11 @@ def central_product_identified(
 ) -> ProductResult:
     """Central product gluing a derived subspace of a to one of b.
 
-    Built as the direct product followed by the quotient identifying each
-    source vector with its paired target vector.  With an empty
+    The direct product's derived space modulo the subspace identifying
+    each source vector with its paired target vector.  With an empty
     identification this is exactly the direct product.
     """
-    _check_same_p(a, b)
-    _check_identification(a, b, ident)
-    m = a.m + b.m
-    c = _block_c(a, b, m, a.m)
-    stage = GroupPresentation(a.p, a.n + b.n, m, c)
-    product = quotient_by_central(
-        stage, _glue(a, b, ident, m), label=_pair_label(f"cp{ident.size}", a, b)
-    )
-    return ProductResult(product, a, b)
+    return _product(a, b, ident, False, f"cp{ident.size}")
 
 
 def amalgamated_coproduct(
@@ -202,13 +172,4 @@ def amalgamated_coproduct(
     2-nilpotent product; the embedded copies of the factors then intersect
     exactly in the identified subspace.
     """
-    _check_same_p(a, b)
-    _check_identification(a, b, ident)
-    if a.order == 1 or b.order == 1:
-        raise TrivialFactor("amalgamated coproduct requires nontrivial factors")
-    m, c = _coproduct_c(a, b)
-    stage = GroupPresentation(a.p, a.n + b.n, m, c)
-    product = quotient_by_central(
-        stage, _glue(a, b, ident, m), label=_pair_label(f"amalg{ident.size}", a, b)
-    )
-    return ProductResult(product, a, b)
+    return _product(a, b, ident, True, f"amalg{ident.size}")

@@ -35,6 +35,7 @@ from .group_core import (
     center,
     cyclic,
     elementary_abelian,
+    from_kappa,
     hom_from_images,
     inverse,
     is_monomorphism,
@@ -107,9 +108,7 @@ def rebase(group: GroupPresentation, a) -> GroupPresentation:
     """The same group on the generators y_k = sum_i a[i, k] x_i, for an
     invertible a: c'(j, i) = kappa(a e_j, a e_i)."""
     a = np.asarray(a, dtype=np.int64)
-    c = np.einsum("aj,bi,abt->jit", a, a, group.kappa_table()) % group.p
-    pairs = [(j, i) for j in range(2, group.n + 1) for i in range(1, j)]
-    return GroupPresentation(group.p, group.n, group.m, {(j, i): c[j - 1, i - 1] for j, i in pairs})
+    return from_kappa(group.p, np.einsum("aj,bi,abt->jit", a, a, group.kappa_table()))
 
 
 def center_line_identification(a: GroupPresentation, b: GroupPresentation) -> Identification:

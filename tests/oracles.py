@@ -1,11 +1,13 @@
 """Reference implementations for differential tests: subgroup enumeration
 by coset growth, injectivity by a kernel scan, map composition by applying
 one map to the other's generator images, the Jacobi relation vector of one
-triple, and the elements behind element-table indices."""
+triple, the elements behind element-table indices, and the four products
+built commutator by commutator through a stage presentation."""
 
 import numpy as np
 
 from nilp2.errors import PresentationMismatch
+from nilp2.fplinalg import Subspace
 from nilp2.group_core import GroupPresentation, Subgroup, _tables, _weights, hom_from_images
 
 
@@ -99,3 +101,80 @@ def assert_same_map(f, g):
     assert f == g
     assert np.array_equal(f.commutator_matrix, g.commutator_matrix)
     assert np.array_equal(f.abelianized_matrix, g.abelianized_matrix)
+
+
+# -- products as a stage presentation and a central quotient ------------------
+
+
+def _pair_label(op: str, a: GroupPresentation, b: GroupPresentation) -> str:
+    if a.label and b.label:
+        return f"{op}({a.label},{b.label})"
+    return ""
+
+
+def _block_c(a: GroupPresentation, b: GroupPresentation, m_total: int, b_offset: int):
+    """Block-diagonal commutator map of the two factors inside F_p^m_total."""
+    c = {}
+    for (j, i), vec in a.c_items:
+        out = [0] * m_total
+        out[: a.m] = list(vec)
+        c[(j, i)] = tuple(out)
+    for (j, i), vec in b.c_items:
+        out = [0] * m_total
+        out[b_offset : b_offset + b.m] = list(vec)
+        c[(j + a.n, i + a.n)] = tuple(out)
+    return c
+
+
+def _coproduct_c(a: GroupPresentation, b: GroupPresentation):
+    """Derived dimension and commutator map of the 2-nilpotent product."""
+    m = a.m + b.m + a.n * b.n
+    c = _block_c(a, b, m, a.m)
+    for j in range(1, b.n + 1):
+        for i in range(1, a.n + 1):
+            vec = [0] * m
+            vec[a.m + b.m + (j - 1) * a.n + (i - 1)] = 1
+            c[(j + a.n, i)] = tuple(vec)
+    return m, c
+
+
+def _glue(a, b, ident, m: int) -> Subspace:
+    """span{h - phi(h)} in F_p^m, whose first a.m coordinates are a's
+    derived block and the next b.m are b's."""
+    rows = []
+    for h, k in zip(ident.source_basis, ident.target_basis):
+        row = [0] * m
+        row[: a.m] = list(h)
+        row[a.m : a.m + b.m] = [(-int(x)) % b.p for x in k]
+        rows.append(row)
+    return Subspace(a.p, m, rows)
+
+
+def _quotient(group: GroupPresentation, sub: Subspace, label: str) -> GroupPresentation:
+    """Quotient by a subspace of the derived coordinates, commutator by
+    commutator."""
+    q = sub.complement_projection()
+    new_c = {}
+    for (j, i), vec in group.c_items:
+        new_c[(j, i)] = tuple(int(x) for x in np.mod(q @ np.array(vec, dtype=np.int64), group.p))
+    return GroupPresentation(group.p, group.n, group.m - sub.dim, new_c, label=label)
+
+
+def reference_product(kind: str, a: GroupPresentation, b: GroupPresentation, ident=None) -> GroupPresentation:
+    """The product of the given kind ("direct", "nilpotent2", "central" or
+    "amalgam"): a stage presentation with block-diagonal commutators, plus
+    the tensor block for the last two kinds, then for the glued kinds the
+    quotient by span{h - phi(h)}.  Factors are assumed valid for the kind."""
+    if kind == "direct":
+        m = a.m + b.m
+        return GroupPresentation(a.p, a.n + b.n, m, _block_c(a, b, m, a.m), label=_pair_label("dir", a, b))
+    if kind == "nilpotent2":
+        m, c = _coproduct_c(a, b)
+        return GroupPresentation(a.p, a.n + b.n, m, c, label=_pair_label("nil2", a, b))
+    if kind == "central":
+        m = a.m + b.m
+        stage = GroupPresentation(a.p, a.n + b.n, m, _block_c(a, b, m, a.m))
+        return _quotient(stage, _glue(a, b, ident, m), _pair_label(f"cp{ident.size}", a, b))
+    m, c = _coproduct_c(a, b)
+    stage = GroupPresentation(a.p, a.n + b.n, m, c)
+    return _quotient(stage, _glue(a, b, ident, m), _pair_label(f"amalg{ident.size}", a, b))

@@ -21,7 +21,7 @@ from nilp2.products import (
     nilpotent2_product,
 )
 from nilp2.selfcheck import random_identification, random_presentation
-from oracles import assert_same_map, compose
+from oracles import assert_same_map, compose, reference_product
 
 
 def centers(a, b):
@@ -256,3 +256,28 @@ def test_embeddings_are_the_canonical_inclusions():
             assert (res.embed_left.domain, res.embed_right.domain) == (a, b)
             assert res.embed_left.images == gens[: a.n]
             assert res.embed_right.images == gens[a.n :]
+
+
+def test_products_match_the_stage_and_quotient_reference():
+    rng = random.Random(911)
+    trials = 0
+    while trials < 200:
+        p = rng.choice((3, 5))
+        a = random_presentation(rng, p, max_n=4)
+        b = random_presentation(rng, p, max_n=4)
+        if trials % 2:
+            a = GroupPresentation(a.p, a.n, a.m, a.c, label="A")
+            b = GroupPresentation(b.p, b.n, b.m, b.c, label="B")
+        ident = random_identification(rng, a, b)
+        built = {
+            "direct": direct_product(a, b),
+            "nilpotent2": nilpotent2_product(a, b),
+            "central": central_product_identified(a, b, ident),
+        }
+        if a.order > 1 and b.order > 1:
+            built["amalgam"] = amalgamated_coproduct(a, b, ident)
+        for kind, res in built.items():
+            expected = reference_product(kind, a, b, ident)
+            got = res.group
+            assert (got.m, got.c_items, got.label) == (expected.m, expected.c_items, expected.label), kind
+        trials += 1
