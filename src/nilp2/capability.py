@@ -386,14 +386,14 @@ class RpVerdict:
 
 def rp_membership(group: GroupPresentation) -> RpVerdict:
     """Membership in the restricted class: center equals derived subgroup,
-    a forced relation among the nonzero generator commutators, and central
+    a forced relation among the generator commutators, and central
     indecomposability.
 
-    The relation check uses the standard generator transversal: the
-    nonzero commutator vectors span, so a relation exists exactly when
-    there are more of them than the derived dimension.  Indecomposability
-    is decided by central_decomposition; the status is undetermined only
-    when that names a limit.
+    The C(n, 2) commutators [x_j, x_i] span the derived subgroup, so a
+    relation among them exists exactly when m < C(n, 2), whichever
+    generators are chosen.  Indecomposability is decided by
+    central_decomposition; the status is undetermined only when that
+    names a limit.
     """
     reasons = ["exponent_p_class_at_most_2"]
     info = center(group)
@@ -401,11 +401,10 @@ def rp_membership(group: GroupPresentation) -> RpVerdict:
         reasons.append("center_equals_derived")
     else:
         reasons.append("center_exceeds_derived")
-    relation = len(group.c_items) > group.m
+    pairs = group.n * (group.n - 1) // 2
+    relation = group.m < pairs
     if relation:
-        reasons.append(
-            f"commutator_relation_exists({len(group.c_items)}>{group.m})"
-        )
+        reasons.append(f"commutator_relation_exists({pairs}>{group.m})")
     else:
         reasons.append("commutators_linearly_independent")
     if not info.center_equals_derived or not relation:

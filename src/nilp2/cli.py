@@ -1,13 +1,16 @@
 """Command-line surface.
 
-Exit codes: 0 a verdict was computed, 1 usage error, 2 validation or parse
-error, 3 verification failure.  Reports are `key = value` lines in a fixed
-key order so identical inputs produce byte-identical output; subspace
-bases print as echelon rows joined by commas.  Input files are read whole
-and parsed by the text codecs of ``fileformats``; output files are
-formatted first, then written.  No command has an order cap or reads an
-environment variable; rp-check and decompose answer undetermined, naming
-the limit, only when the algebra Sym(kappa) is too large to enumerate.
+Exit codes: 0 a verdict was computed, 1 usage error, 2 an input that fails
+validation or cannot be read, decoded or parsed, or an output that cannot
+be written, 3 verification failure.  Every error is one `error:` line on
+stderr, after the usage when argparse rejects the arguments.  Reports are
+`key = value` lines in a fixed key order so identical inputs produce
+byte-identical output; subspace bases print as echelon rows joined by
+commas.  Input files are read whole and parsed by the text codecs of
+``fileformats``; output files are formatted first, then written.  No
+command has an order cap or reads an environment variable; rp-check and
+decompose answer undetermined, naming the limit, only when the algebra
+Sym(kappa) is too large to enumerate.
 """
 
 from __future__ import annotations
@@ -159,13 +162,13 @@ def cmd_rp_check(args) -> int:
 
 
 def cmd_product(args) -> int:
+    if args.kind in ("direct", "nilpotent2") and args.identify is not None:
+        raise _UsageError(f"--identify does not apply to --kind {args.kind}")
     a = parse_group_text(_read(args.left))
     b = parse_group_text(_read(args.right))
     ident = None
     if args.identify is not None:
         ident = parse_identification_text(_read(args.identify), a, b)
-    if args.kind in ("direct", "nilpotent2") and ident is not None:
-        raise _UsageError(f"--identify does not apply to --kind {args.kind}")
     if args.kind == "direct":
         result = direct_product(a, b)
     elif args.kind == "nilpotent2":
@@ -323,9 +326,10 @@ def main(argv=None) -> int:
         return int(code) if code else 0
     try:
         return args.func(args)
-    except _UsageError:
+    except _UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 1
-    except Nilp2Error as exc:
+    except (Nilp2Error, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

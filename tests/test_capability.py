@@ -283,16 +283,32 @@ def test_rp_constructed_extension():
 
 
 def test_rp_small_member_verified_by_search():
-    # The empty identification leaves the commutators of this order-243
-    # amalgam independent, so the relation check alone makes it a non-member.
+    # The empty amalgam C3^2 * C3 has n = 3 and m = 2 < C(3, 2): its one
+    # zero commutator [x2, x1] is the forced relation.  Every nonzero
+    # element of the exterior square of F_3^3 is decomposable, so all
+    # presentations with n = 3 and m = 2 are this one group.
     a, b = elementary_abelian(3, 2), cyclic(3)
     g = amalgamated_coproduct(a, b, Identification(a, b, (), ())).group
-    assert rp_membership(g).status == "non_member"
-    # Three commutators in a two-dimensional derived subgroup, Z(G) = G', and
-    # Sym(kappa) of dimension 1: a member, which the exhaustive search confirms.
+    assert rp_membership(g).status == "member"
+    # The same group on other generators, with Z(G) = G' and Sym(kappa) of
+    # dimension 1: a member, which the exhaustive search confirms.
     g = GroupPresentation(3, 3, 2, {(2, 1): (1, 0), (3, 1): (0, 1), (3, 2): (1, 1)})
     assert rp_membership(g).status == "member"
     assert central_decomposition_search(g).status == "none"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([3, 5]))
+def test_rp_and_decomposition_invariant_under_change_of_generators(seed, p):
+    rng = random.Random(seed)
+    g = random_presentation(rng, p, max_n=5)
+    h = rebase(g, _random_invertible(rng, p, g.n))
+    vg, vh = rp_membership(g), rp_membership(h)
+    assert (vh.status, vh.reasons) == (vg.status, vg.reasons)
+    dg, dh = central_decomposition(g), central_decomposition(h)
+    assert (dh.status, dh.left_order, dh.right_order, dh.sym_dim) == (
+        dg.status, dg.left_order, dg.right_order, dg.sym_dim
+    )
 
 
 def test_rp_undetermined_above_cap():

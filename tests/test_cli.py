@@ -226,6 +226,47 @@ def test_product_identify_usage(tmp_path):
     assert main(["product", "--kind", "direct", a, b, "--identify", ident, "-o", out_path]) == 1
 
 
+def _one_error_line(err):
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("kind", ["direct", "nilpotent2"])
+@pytest.mark.parametrize("ident_text", ["", "not an identification\n"], ids=["valid", "malformed"])
+def test_identify_with_a_plain_product_is_a_usage_error(tmp_path, capsys, kind, ident_text):
+    # The kind is checked before any file is read, so a malformed
+    # identification file gives the same usage error.
+    a = write(tmp_path, "a.grp", format_group(cyclic(3)))
+    ident = write(tmp_path, "i.id", ident_text)
+    out_path = tmp_path / "prod.grp"
+    assert main(["product", "--kind", kind, a, a, "--identify", ident, "-o", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert _one_error_line(captured.err) == f"error: --identify does not apply to --kind {kind}"
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
+def test_missing_input_file_is_an_input_error(tmp_path, capsys):
+    assert main(["capable", str(tmp_path / "absent.grp")]) == 2
+    assert "absent.grp" in _one_error_line(capsys.readouterr().err)
+
+
+def test_undecodable_input_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.grp"
+    path.write_bytes(b"\xff\xfe" + HEISENBERG_FILE.encode("utf-16-le"))
+    assert main(["inspect", str(path)]) == 2
+    _one_error_line(capsys.readouterr().err)
+
+
+def test_unwritable_output_is_an_output_error(tmp_path, capsys):
+    h = write(tmp_path, "h.grp", HEISENBERG_FILE)
+    out_path = str(tmp_path / "no-such-dir" / "out.grp")
+    assert main(["product", "--kind", "direct", h, h, "-o", out_path]) == 2
+    assert "no-such-dir" in _one_error_line(capsys.readouterr().err)
+
+
 def test_amalgam_product_command(tmp_path, capsys):
     h = write(tmp_path, "h.grp", HEISENBERG_FILE)
     ident = write(tmp_path, "c.id", "id 1 -> 1\n")
