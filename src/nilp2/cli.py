@@ -35,7 +35,6 @@ from .fileformats import (
 )
 from .group_core import center, is_monomorphism
 from .products import (
-    Identification,
     amalgamated_coproduct,
     central_product_identified,
     direct_product,
@@ -166,20 +165,15 @@ def cmd_product(args) -> int:
         raise _UsageError(f"--identify does not apply to --kind {args.kind}")
     a = parse_group_text(_read(args.left))
     b = parse_group_text(_read(args.right))
-    ident = None
-    if args.identify is not None:
-        ident = parse_identification_text(_read(args.identify), a, b)
     if args.kind == "direct":
         result = direct_product(a, b)
     elif args.kind == "nilpotent2":
         result = nilpotent2_product(a, b)
     else:
-        if ident is None:
-            ident = Identification(a, b, (), ())
-        if args.kind == "central":
-            result = central_product_identified(a, b, ident)
-        else:
-            result = amalgamated_coproduct(a, b, ident)
+        # Without an identification file nothing is glued.
+        text = _read(args.identify) if args.identify is not None else ""
+        build = central_product_identified if args.kind == "central" else amalgamated_coproduct
+        result = build(a, b, parse_identification_text(text, a, b))
     _write(args.output, format_group(result.group))
     if args.map_a:
         _write(args.map_a, format_generator_map(result.embed_left))

@@ -65,17 +65,14 @@ class Identification:
             raise InvalidIdentification(
                 f"{len(src)} source vectors paired with {len(tgt)} target vectors"
             )
-        for vec in src:
-            if len(vec) != self.source.m:
-                raise InvalidIdentification(
-                    f"source vector has {len(vec)} entries, derived dimension is {self.source.m}"
-                )
-        for vec in tgt:
-            if len(vec) != self.target.m:
-                raise InvalidIdentification(
-                    f"target vector has {len(vec)} entries, derived dimension is {self.target.m}"
-                )
-        for side, vectors, m in (("source", src, self.source.m), ("target", tgt, self.target.m)):
+        sides = (("source", src, self.source.m), ("target", tgt, self.target.m))
+        for side, vectors, m in sides:
+            for vec in vectors:
+                if len(vec) != m:
+                    raise InvalidIdentification(
+                        f"{side} vector has {len(vec)} entries, derived dimension is {m}"
+                    )
+        for side, vectors, m in sides:
             if vectors:
                 arr = np.array(vectors, dtype=np.int64).reshape(len(vectors), m)
                 _, pivots = rref(arr, self.source.p)
