@@ -389,9 +389,9 @@ def from_kappa(p, kap, label="") -> GroupPresentation:
     from an (n, n, m) pairing array below its diagonal; the entries on and
     above the diagonal are not read."""
     n, _, m = kap.shape
-    j, i = np.tril_indices(n, -1)
-    keys = zip((j + 1).tolist(), (i + 1).tolist())
-    return GroupPresentation(p, n, m, dict(zip(keys, np.mod(kap[j, i], p).tolist())), label=label)
+    pairs = [(j, i) for j in range(2, n + 1) for i in range(1, j)]
+    rows = np.mod(kap[np.tri(n, k=-1, dtype=bool)], p).tolist()
+    return GroupPresentation(p, n, m, dict(zip(pairs, rows)), label=label)
 
 
 def quotient_by_central(group: GroupPresentation, sub: Subspace):
