@@ -13,10 +13,18 @@ the relation subspace are
                + kappa(k, i) (x) e_j,
 
 and an element g of the derived space is in the epicentre exactly when
-g (x) e_i lies in that subspace for every generator index i.
-``jacobi_subspace`` returns that subspace, from one elimination of the
-C(n, 3) x nm matrix of the J(i, j, k).  The
-criterion holds when the center coincides with the derived subgroup.
+g (x) e_i lies in that subspace for every generator index i, that is,
+when g (x) e_i is orthogonal to ker J for the C(n, 3) x nm matrix J of
+the J(i, j, k).  The criterion holds when the center coincides with the
+derived subgroup.  J's entries are built from kappa's nonzeros, ker J
+comes from ``fplinalg.kernel_of_entries``, which peels singleton columns
+and hands only the dense residue to ``rref``, and the epicentre is the
+common kernel of the column slices (beta[t*n + i])_t of a basis of ker J.
+Construction outputs have at most 3 nonzeros per row of J and peel
+entirely; on dense kappa nothing peels, and J is eliminated whole, as it
+is when it is small.
+``jacobi_subspace`` builds the relation subspace itself; the epicentre
+does not use it.
 
 Every other nonabelian group is G = H x C_p^r, where r is the dimension of
 the radical R of kappa and H is generated by the generators at the
@@ -38,13 +46,23 @@ Every other group decomposes unless it is cyclic or trivial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import itertools
+import math
 import random
 
 import numpy as np
 
 from .errors import OrderExceedsCap, PreconditionCenterNotDerived
-from .fplinalg import Subspace, all_subspaces, all_vectors, kernel_basis, rref, solve_matrix
+from .fplinalg import (
+    Subspace,
+    all_subspaces,
+    all_vectors,
+    kernel_basis,
+    kernel_of_entries,
+    rref,
+    solve_matrix,
+)
 from .group_core import (
     GroupPresentation,
     Subgroup,
@@ -108,6 +126,50 @@ def _radical_complement(group: GroupPresentation, radical: Subspace) -> GroupPre
     return from_kappa(group.p, group.kappa_table()[np.ix_(free, free)])
 
 
+@functools.lru_cache(maxsize=None)
+def _triple_slots(n: int):
+    """The pairs a < b as ``np.triu_indices`` gives them and, for each pair
+    and each third index c in increasing order, the row of the sorted
+    triple among the 3-subsets of range(n) in lexicographic order, c, and
+    whether a < c < b: read-only arrays, the last three of shape
+    (C(n, 2), n - 2)."""
+    pair_index = np.triu_indices(n, 1)
+    a, b = (x[:, None] for x in pair_index)
+    c = np.arange(n - 2)
+    c = c + (c >= a)
+    c += c >= b
+    x, z = np.minimum(a, c), np.maximum(b, c)
+    y = a + b + c - x - z
+    # The triples before (x, y, z): those with a smaller first index, then
+    # those with first index x and a smaller second one.  above[j] =
+    # C(n - 1 - j, 2) counts the pairs of indices above j.
+    k = np.arange(n - 1, 0, -1)
+    above = k * (k - 1) // 2
+    rows = np.cumsum(np.r_[0, above[:-1]])[x] + above[x] - above[y - 1] + z - y - 1
+    out = (*pair_index, rows, c, (a < c) & (c < b))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _jacobi_entries(group: GroupPresentation):
+    """The nonzero entries (row, column, value) of the C(n, 3) x nm matrix
+    whose rows are the J(i, j, k), i < j < k, in combinations order.
+
+    Each nonzero kappa(a, b)_t with a < b and each third index c give the
+    entry kappa(a, b)_t at slot t*n + c of the row of the sorted triple,
+    negated when a < c < b: then (a, b, c) is no rotation of the triple,
+    whose term is kappa(b, a) (x) e_c.
+    """
+    n, p = group.n, group.p
+    a, b, rows, c, flip = _triple_slots(n)
+    pairs = group.kappa_table()[a, b]
+    pair, t = np.nonzero(pairs)
+    v = pairs[pair, t][:, None]
+    vals = np.where(flip[pair], p - v, v)
+    return rows[pair].ravel(), (t[:, None] * n + c[pair]).ravel(), vals.ravel()
+
+
 def epicentre_in_derived(group: GroupPresentation) -> Subspace:
     """The epicentre, as a subspace of the derived coordinates.
 
@@ -124,14 +186,22 @@ def epicentre_in_derived(group: GroupPresentation) -> Subspace:
             )
         group = _radical_complement(group, info.radical)
     n, m = group.n, group.m
-    if m == 0:
-        return Subspace.zero(group.p, 0)
-    q = jacobi_subspace(group).complement_projection()
-    if q.shape[0] == 0:
+    if n < 3:
+        # No triples, so the relation subspace is zero and so is every
+        # g with g (x) e_i in it.
+        return Subspace.zero(group.p, m)
+    kernel = kernel_of_entries(*_jacobi_entries(group), (math.comb(n, 3), m * n), group.p)
+    if kernel.shape[0] == 0:
         # The relation subspace is everything, so every g qualifies.
         return Subspace.full(group.p, m)
-    q3 = q.reshape(-1, m, n)
-    stacked = np.concatenate([q3[:, :, i] for i in range(n)], axis=0)
+    # The slice of generator i holds the slots t*n + i.  Its zero rows
+    # constrain nothing, and on sparse kappa most rows are zero.  The
+    # kernel is column-major, so its transpose reshapes without a copy.
+    live = kernel.T.reshape(m, n, -1).max(axis=0) > 0
+    if live.all():
+        stacked = np.concatenate([kernel[:, i::n] for i in range(n)], axis=0)
+    else:
+        stacked = np.concatenate([kernel[live[i], i::n] for i in range(n)], axis=0)
     return Subspace(group.p, m, kernel_basis(stacked, group.p))
 
 

@@ -74,3 +74,7 @@ class ParseError(Nilp2Error):
     def __init__(self, line_no, message):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
+
+
+class ResidueTooLarge(Nilp2Error):
+    """The dense residue of a sparse elimination exceeds its cell budget."""

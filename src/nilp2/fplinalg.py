@@ -55,7 +55,7 @@ import itertools
 
 import numpy as np
 
-from .errors import AmbientMismatch, ModulusTooLarge, NotOddPrime
+from .errors import AmbientMismatch, ModulusTooLarge, NotOddPrime, ResidueTooLarge
 
 __all__ = [
     "Subspace",
@@ -66,6 +66,7 @@ __all__ = [
     "echelon_bases",
     "is_odd_prime",
     "kernel_basis",
+    "kernel_of_entries",
     "rref",
     "solve_matrix",
 ]
@@ -250,7 +251,8 @@ def rref(a: np.ndarray, p: int):
         lead = int(nonzero[0])
         r[0] = r[0] * pow(int(r[0, lead]), -1, p) % p
         return r, [lead]
-    r = _residues(a, p).astype(_storage_dtype(cols, p))
+    # A C-ordered copy: rows are eliminated and swapped whole.
+    r = _residues(a, p).astype(_storage_dtype(cols, p), order="C")
     if rows <= _BLOCK:
         pivots = _eliminate(r, p)
         return r.astype(np.int64, copy=False), pivots
@@ -279,12 +281,13 @@ def rref(a: np.ndarray, p: int):
     return out, pivots
 
 
-def _null_rows(r: np.ndarray, pivots, cols: int, p: int) -> np.ndarray:
+def _null_rows(r: np.ndarray, pivots, cols: int, p: int, order="C") -> np.ndarray:
     """Rows e_f - sum_i r[i, f] e_{pivots[i]}, one per non-pivot column f:
-    a basis of the right null space of the echelon rows r."""
+    a basis of the right null space of the echelon rows r, in the given
+    memory order."""
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
-    out = np.zeros((len(free), cols), dtype=np.int64)
+    out = np.zeros((len(free), cols), dtype=np.int64, order=order)
     if free:
         out[np.arange(len(free)), free] = 1
         out[:, list(pivots)] = np.mod(-r[: len(pivots)][:, free].T, p)
@@ -302,6 +305,108 @@ def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
         return np.zeros((0, cols), dtype=np.int64)
     out, _ = rref(_null_rows(r, pivots, cols, p), p)
     return out
+
+
+# Cells of the dense residue that kernel_of_entries may hand to rref.  At
+# int64 that is 128 MB, and rref holds a working copy and an output beside it.
+RESIDUE_CELL_LIMIT = 1 << 24
+# Up to this many cells a matrix is eliminated whole: its elimination costs
+# less than the fixed cost of the peeling rounds.
+_PEEL_MIN_CELLS = 1 << 10
+
+
+def kernel_of_entries(rows, cols, vals, shape, p: int) -> np.ndarray:
+    """A basis (rows, stored column-major) of the right null space mod p of
+    the matrix of the given shape whose only nonzero entries are the
+    residues vals, in [1, p), at the distinct positions (rows[k], cols[k]);
+    the three are int64 arrays of one length.
+
+    Structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90;
+    Bouillaguet and Delaplace, CASC 2016) in front of ``rref``.  Each round
+    counts the nonzeros of every column over the live rows and takes every
+    live row that owns a column with exactly one of them, pivoting on one
+    such column.  A pivot column meets no other row live in its round
+    or later, so the rows taken in one round do not interact.  The live
+    rows, over the columns that still meet them, form the dense residue,
+    which ``rref`` eliminates once; a residue above RESIDUE_CELL_LIMIT
+    cells is refused before it is allocated.  When no round takes a row,
+    or the matrix has at most _PEEL_MIN_CELLS cells and is not peeled,
+    the residue is the whole matrix and the basis is ``_null_rows`` of
+    its reduced form.
+
+    The basis holds one vector per free column f, in increasing order: a
+    column that is no peeled or residue pivot.  It is 1 at f, the residue's
+    null row of f on the residue's columns (zero unless f is one of them),
+    and at each peeled pivot the value its row forces, found in reverse
+    round order.  Column-major storage makes the back-substitution, which
+    reads and writes whole columns, and column slices cheap.
+    """
+    p = int(p)
+    nrows, ncols = shape
+    check_int64(ncols * (p - 1) ** 2 + p, p, "kernel")
+    live = np.ones(nrows, dtype=bool)
+    rounds = []
+    while nrows * ncols > _PEEL_MIN_CELLS:  # small matrices are not peeled
+        counts = np.bincount(cols, minlength=ncols)
+        single = counts[cols] == 1
+        if not single.any():
+            break
+        taken, first = np.unique(rows[single], return_index=True)
+        at = np.flatnonzero(single)[first]
+        live[taken] = False
+        keep = live[rows]
+        rest = ~keep
+        rest[at] = False
+        rounds.append((taken, cols[at], vals[at], rows[rest], cols[rest], vals[rest]))
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    if rounds:
+        res_cols = np.flatnonzero(counts)
+        dims = (np.count_nonzero(live), res_cols.size)
+    else:
+        dims = shape
+    if dims[0] * dims[1] > RESIDUE_CELL_LIMIT:
+        raise ResidueTooLarge(
+            f"dense residue of {dims[0]} x {dims[1]} = {dims[0] * dims[1]} cells "
+            f"exceeds RESIDUE_CELL_LIMIT = {RESIDUE_CELL_LIMIT}"
+        )
+    if rounds:  # positions within the residue
+        rows, cols = np.cumsum(live)[rows] - 1, np.cumsum(counts > 0)[cols] - 1
+    residue = np.zeros(dims, dtype=np.int64)
+    residue[rows, cols] = vals
+    r, pivots = rref(residue, p) if residue.size else (residue, [])
+    del residue  # rref returned a fresh array; the null rows are built beside it
+    if not rounds:
+        return _null_rows(r, pivots, ncols, p, order="F")
+    null = _null_rows(r, pivots, res_cols.size, p)
+    fixed = np.zeros(ncols, dtype=bool)
+    fixed[res_cols[pivots]] = True
+    for taken, pcols, *_ in rounds:
+        fixed[pcols] = True
+    free = np.flatnonzero(~fixed)
+    basis = np.zeros((free.size, ncols), dtype=np.int64, order="F")
+    basis[np.arange(free.size), free] = 1
+    res_free = np.delete(res_cols, pivots)
+    basis[np.ix_(np.searchsorted(free, res_free), res_cols)] = null
+    for taken, pcols, pvals, erows, ecols, evals in reversed(rounds):
+        # x[pivot] = -sum(v * x[c]) / (pivot value), over the row's other
+        # entries (v, c).
+        if not erows.size:
+            continue
+        values, back = np.unique(pvals, return_inverse=True)
+        inverse = np.array([pow(int(v), -1, p) for v in values], dtype=np.int64)[back]
+        order = np.argsort(erows, kind="stable")
+        slot = np.searchsorted(taken, erows[order])
+        ecols, coeff = ecols[order], np.mod(-evals[order] * inverse[slot], p)
+        # Pass k adds the k-th other entry of every row that has one, so no
+        # pivot column repeats within a pass.  The pivot columns start at
+        # zero, and no row of this round reads one.
+        nth = np.arange(slot.size) - np.searchsorted(slot, slot)
+        targets = pcols[slot]
+        for k in range(int(nth.max()) + 1):
+            at = nth == k
+            basis[:, targets[at]] += basis[:, ecols[at]] * coeff[at]
+        basis[:, pcols] %= p
+    return basis
 
 
 def solve_matrix(a: np.ndarray, b: np.ndarray, p: int):

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidIdentification, PresentationMismatch, TrivialFactor
-from .fplinalg import Subspace, rref
+from .fplinalg import Subspace, _product_dtype, rref
 from .group_core import GeneratorMap, GroupPresentation, from_kappa, hom_from_images
 
 __all__ = [
@@ -127,7 +127,10 @@ def _product(a, b, ident, tensor: bool, op: str) -> ProductResult:
         glue[:, a.m : a.m + b.m] = np.negative(ident.target_basis)
         q = Subspace(p, m, glue).complement_projection()
         below = np.tri(n, k=-1, dtype=bool)
-        rows = table[below] @ q.T
+        # Exact in float whenever _product_dtype allows, and then run by
+        # BLAS; int64 otherwise, which Subspace's modulus check keeps exact.
+        exact = _product_dtype(m, p) or np.int64
+        rows = (table[below].astype(exact) @ q.T.astype(exact)).astype(np.int64)
         table = np.zeros((n, n, len(q)), dtype=np.int64)
         table[below] = rows
     label = f"{op}({a.label},{b.label})" if a.label and b.label else ""

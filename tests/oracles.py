@@ -1,14 +1,18 @@
 """Reference implementations for differential tests: subgroup enumeration
 by coset growth, injectivity by a kernel scan, map composition by applying
 one map to the other's generator images, the Jacobi relation vector of one
-triple, the elements behind element-table indices, and the four products
-built commutator by commutator through a stage presentation."""
+triple, the epicentre by one elimination of the dense Jacobi matrix, the
+elements behind element-table indices, and the four products built
+commutator by commutator through a stage presentation."""
+
+import itertools
 
 import numpy as np
 
-from nilp2.errors import PresentationMismatch
-from nilp2.fplinalg import Subspace
-from nilp2.group_core import GroupPresentation, Subgroup, _tables, _weights, hom_from_images
+from nilp2.capability import _radical_complement, jacobi_subspace
+from nilp2.errors import PreconditionCenterNotDerived, PresentationMismatch
+from nilp2.fplinalg import Subspace, kernel_basis
+from nilp2.group_core import GroupPresentation, Subgroup, _tables, _weights, center, hom_from_images
 
 
 def jacobi_vector(group: GroupPresentation, x: int, y: int, z: int) -> np.ndarray:
@@ -23,6 +27,36 @@ def jacobi_vector(group: GroupPresentation, x: int, y: int, z: int) -> np.ndarra
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
         out[slots + (c - 1)] += kap[a - 1, b - 1]
     return np.mod(out, group.p)
+
+
+def jacobi_matrix(group: GroupPresentation) -> np.ndarray:
+    """The C(n, 3) x nm matrix whose rows are the relation vectors of the
+    triples i < j < k, in combinations order."""
+    rows = [jacobi_vector(group, *(t + 1 for t in triple)) for triple in itertools.combinations(range(group.n), 3)]
+    return np.array(rows, dtype=np.int64).reshape(-1, group.m * group.n)
+
+
+def dense_epicentre(group: GroupPresentation) -> Subspace:
+    """The epicentre as capability.epicentre_in_derived computed it before
+    its sparse front end: one elimination of the whole dense Jacobi matrix,
+    whose relation subspace's complement projection spans ker J."""
+    info = center(group)
+    if not info.center_equals_derived:
+        if group.is_abelian:
+            raise PreconditionCenterNotDerived(
+                "epicentre computation requires a nonabelian group"
+            )
+        group = _radical_complement(group, info.radical)
+    n, m = group.n, group.m
+    if m == 0:
+        return Subspace.zero(group.p, 0)
+    q = jacobi_subspace(group).complement_projection()
+    if q.shape[0] == 0:
+        # The relation subspace is everything, so every g qualifies.
+        return Subspace.full(group.p, m)
+    q3 = q.reshape(-1, m, n)
+    stacked = np.concatenate([q3[:, :, i] for i in range(n)], axis=0)
+    return Subspace(group.p, m, kernel_basis(stacked, group.p))
 
 
 def decode(group: GroupPresentation, indices) -> tuple:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nilp2.capability import (
+    _jacobi_entries,
+    _radical_complement,
     capability_verdict,
     central_decomposition,
     central_decomposition_search,
@@ -14,11 +16,16 @@ from nilp2.capability import (
     jacobi_subspace,
     rp_membership,
 )
-from nilp2.constructions import build_capable_extension, extraspecial_p5, heisenberg
+from nilp2.constructions import (
+    build_capable_extension,
+    build_noncapable_extension,
+    extraspecial_p5,
+    heisenberg,
+)
 from nilp2.errors import OrderExceedsCap, PreconditionCenterNotDerived, SpanDeficit
 from nilp2.fileformats import format_group, parse_group_text
-from nilp2.fplinalg import Subspace, rref
-from nilp2.group_core import GroupPresentation, center, cyclic, elementary_abelian
+from nilp2.fplinalg import Subspace, kernel_of_entries, rref
+from nilp2.group_core import GroupPresentation, center, cyclic, elementary_abelian, from_kappa
 from nilp2.products import Identification, amalgamated_coproduct, central_product_identified, direct_product
 from nilp2.selfcheck import (
     _amalgam_battery,
@@ -27,7 +34,7 @@ from nilp2.selfcheck import (
     random_presentation,
     rebase,
 )
-from oracles import jacobi_vector
+from oracles import dense_epicentre, jacobi_matrix, jacobi_vector
 
 
 # -- relation subspace ------------------------------------------------------------
@@ -121,6 +128,88 @@ def test_amalgam_of_extraspecials_not_capable():
     epi = epicentre_in_derived(res.group)
     assert epi.dim == 1
     assert epi == res.embed_left.push_derived([(1,)])
+
+
+# -- sparse front end of the epicentre ------------------------------------------------
+
+
+def _free_class2(p, n):
+    """The relatively free group of rank n: one derived coordinate per pair."""
+    below = np.tri(n, k=-1, dtype=bool)
+    kap = np.zeros((n, n, n * (n - 1) // 2), dtype=np.int64)
+    kap[below, np.arange(kap.shape[2])] = 1
+    return from_kappa(p, kap)
+
+
+def _extraspecial(p, half):
+    """Extraspecial of order p^(2 half + 1): [x_2i, x_2i-1] = z."""
+    kap = np.zeros((2 * half, 2 * half, 1), dtype=np.int64)
+    kap[np.arange(1, 2 * half, 2), np.arange(0, 2 * half, 2), 0] = 1
+    return from_kappa(p, kap)
+
+
+def _dense(seed, p, n, m):
+    g = _random_center_equals_derived(random.Random(seed), p, n, m)
+    assert g is not None
+    return g
+
+
+def _check_front_end(g):
+    """ker J from kappa's nonzeros is a kernel of the oracle's Jacobi matrix
+    of full dimension, and the epicentre is the dense procedure's."""
+    info = center(g)
+    h = g if info.center_equals_derived else _radical_complement(g, info.radical)
+    p, width = h.p, h.n * h.m
+    jac = jacobi_matrix(h)
+    rows, cols, vals = _jacobi_entries(h)
+    built = np.zeros_like(jac)
+    built[rows, cols] = vals
+    assert np.array_equal(built, jac)
+    assert vals.min(initial=1) >= 1 and vals.max(initial=1) < p
+    kernel = kernel_of_entries(rows, cols, vals, jac.shape, p)
+    # Exact in float64: every sum has at most nm terms below p^2.
+    assert not np.mod(jac.astype(np.float64) @ kernel.T.astype(np.float64), p).any()
+    assert len(rref(kernel, p)[1]) == kernel.shape[0] == width - len(rref(jac, p)[1])
+    assert epicentre_in_derived(g) == dense_epicentre(g)
+
+
+SPARSE_INPUTS = [
+    build(base).output_group
+    for build in (build_capable_extension, build_noncapable_extension)
+    for base in (heisenberg(3), extraspecial_p5(5), elementary_abelian(7, 2), _free_class2(3, 4))
+] + [_extraspecial(p, half) for p, half in ((3, 2), (3, 4), (5, 3), (7, 5))]
+
+
+@pytest.mark.parametrize("index", range(len(SPARSE_INPUTS)))
+def test_front_end_on_sparse_kappa(index):
+    _check_front_end(SPARSE_INPUTS[index])
+
+
+@pytest.mark.parametrize("seed,p,n,m", [(0, 3, 6, 6), (1, 5, 7, 12), (2, 7, 8, 8), (3, 3, 9, 20), (4, 3, 5, 9)])
+def test_front_end_on_dense_kappa(seed, p, n, m):
+    g = _dense(seed, p, n, m)
+    _check_front_end(g)
+    # Nothing is peeled: the kernel is the null rows of J's reduced form,
+    # vector for vector, as before the front end.
+    rows, cols, vals = _jacobi_entries(g)
+    jac = jacobi_matrix(g)
+    assert np.array_equal(kernel_of_entries(rows, cols, vals, jac.shape, p), Subspace(p, n * m, jac).complement_projection())
+
+
+@pytest.mark.parametrize("seed,p,n,m", [(5, 3, 6, 6), (6, 5, 5, 4)])
+def test_front_end_on_mixed_kappa(seed, p, n, m):
+    dense = _dense(seed, p, n, m)
+    for sparse in (build_noncapable_extension(heisenberg(p)).output_group, build_capable_extension(extraspecial_p5(p)).output_group):
+        _check_front_end(direct_product(dense, sparse).group)
+        _check_front_end(central_product_identified(dense, sparse, center_line_identification(dense, sparse)).group)
+
+
+@pytest.mark.parametrize("build", [build_capable_extension, build_noncapable_extension])
+def test_front_end_on_the_constructions_over_a_rank_12_free_group(build):
+    report = build(_free_class2(3, 12))
+    g = report.output_group
+    assert (g.n, g.m) == {"capable": (14, 90), "noncapable": (18, 122)}[report.mode]
+    _check_front_end(g)
 
 
 # -- invariance under a change of generators --------------------------------------

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nilp2 import fplinalg
 from nilp2.cli import main
 from nilp2.constructions import extraspecial_p5, heisenberg
 from nilp2.errors import BadIndex, BadMagic, EntryOutOfRange, NotOddPrime, ParseError
@@ -251,6 +252,19 @@ def test_identify_with_a_plain_product_is_a_usage_error(tmp_path, capsys, kind, 
 def test_missing_input_file_is_an_input_error(tmp_path, capsys):
     assert main(["capable", str(tmp_path / "absent.grp")]) == 2
     assert "absent.grp" in _one_error_line(capsys.readouterr().err)
+
+
+def test_residue_budget_is_an_engine_error(tmp_path, capsys, monkeypatch):
+    # Extraspecial 3^7: no Jacobi column is a singleton, so the residue is
+    # all 20 x 6 cells of J.
+    path = write(tmp_path, "e3_7.grp", "nilp2 v1\np 3\nn 6\nm 1\nc 2 1 1\nc 4 3 1\nc 6 5 1\n")
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 119)
+    assert main(["capable", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds RESIDUE_CELL_LIMIT = 119" in _one_error_line(captured.err)
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 120)
+    assert main(["capable", path]) == 0
 
 
 def test_undecodable_input_file_is_an_input_error(tmp_path, capsys):

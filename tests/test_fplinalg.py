@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nilp2 import fplinalg
-from nilp2.errors import AmbientMismatch, ModulusTooLarge, NotOddPrime
+from nilp2.errors import AmbientMismatch, ModulusTooLarge, NotOddPrime, ResidueTooLarge
 from nilp2.fplinalg import (
     Subspace,
     all_subspaces,
@@ -13,6 +13,7 @@ from nilp2.fplinalg import (
     echelon_bases,
     is_odd_prime,
     kernel_basis,
+    kernel_of_entries,
     rref,
     solve_matrix,
 )
@@ -395,6 +396,17 @@ def test_rref_and_kernel_match_reference(p, shape):
     assert len(pivots) + k.shape[0] == cols
 
 
+@pytest.mark.parametrize("shape", ["rows_63", "rows_65_sparse", "tall_low_rank", "wide_full_row_rank"])
+def test_rref_reads_fortran_and_c_order_alike(monkeypatch, shape):
+    a = dict(SHAPES)[shape](random.Random(shape), 7)
+    r, pivots = rref(a, 7)
+    calls = _spy(monkeypatch, "_eliminate")
+    r_f, pivots_f = rref(np.asfortranarray(a), 7)
+    assert pivots_f == pivots and np.array_equal(r_f, r)
+    # The working copy is row-major whatever the input's order.
+    assert calls and all(args[0].flags.c_contiguous for args in calls)
+
+
 def test_rref_leaves_input_untouched():
     rng = random.Random(3)
     for rows in (5, 150):
@@ -569,3 +581,90 @@ def test_tall_rref_enters_rref_once(monkeypatch):
     a = _random_matrix(random.Random(5), 7, 300, 40, rank=30)
     fplinalg.rref(a, 7)
     assert [np.shape(args[0]) for args in calls] == [(300, 40)]
+
+
+# -- kernel_of_entries: the sparse front end of rref ---------------------------
+
+
+def _entries(a):
+    rows, cols = np.nonzero(a)
+    return rows, cols, a[rows, cols]
+
+
+def _chain(rng, p, n):
+    """Rows (i, i + 1) under random row and column permutations: the peel
+    takes the two ends of every path, one row per end and round."""
+    a = np.zeros((n, n + 1), dtype=np.int64)
+    a[np.arange(n), np.arange(n)] = [rng.randrange(1, p) for _ in range(n)]
+    a[np.arange(n), np.arange(1, n + 1)] = [rng.randrange(1, p) for _ in range(n)]
+    return a[rng.sample(range(n), n)][:, rng.sample(range(n + 1), n + 1)]
+
+
+def _sparse(rng, p, rows, cols, per_row=3):
+    """At most per_row entries per row; some rows and columns stay empty."""
+    a = np.zeros((rows, cols), dtype=np.int64)
+    for r in range(rows):
+        for c in rng.sample(range(cols), rng.randrange(per_row + 1)):
+            a[r, c] = rng.randrange(1, p)
+    return a
+
+
+def _mixed(rng, p):
+    """A sparse block beside a dense one, with rows across both."""
+    a = _sparse(rng, p, 60, 90, per_row=2)
+    a[40:, 70:] = _random_matrix(rng, p, 20, 20, rank=12)
+    a[:5, 75:] = _random_matrix(rng, p, 5, 15)
+    return a
+
+
+SPARSE_SHAPES = [
+    ("chain", lambda rng, p: _chain(rng, p, 40)),
+    ("sparse_rows_3", lambda rng, p: _sparse(rng, p, 80, 100)),
+    ("sparse_tall", lambda rng, p: _sparse(rng, p, 150, 60, per_row=2)),
+    ("sparse_and_dense", _mixed),
+    ("no_entries", lambda rng, p: np.zeros((7, 5), dtype=np.int64)),
+]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 46337])
+@pytest.mark.parametrize("shape", [name for name, _ in SHAPES + SPARSE_SHAPES])
+def test_kernel_of_entries_spans_the_reference_kernel(p, shape):
+    rng = random.Random(f"{shape}-{p}")
+    a = np.mod(dict(SHAPES + SPARSE_SHAPES)[shape](rng, p), p)
+    cols = a.shape[1]
+    k = kernel_of_entries(*_entries(a), a.shape, p)
+    ref = reference_kernel(a.tolist(), p, cols)
+    assert k.dtype == np.int64 and k.shape == (len(ref), cols)
+    assert _is_zero_mod(np.array(a, dtype=object) @ np.array(k, dtype=object).T, p)
+    # Independent rows that span the reference kernel.
+    r, pivots = rref(k, p)
+    assert len(pivots) == len(ref) and r.tolist() == ref
+    if a.size <= fplinalg._PEEL_MIN_CELLS or (np.count_nonzero(a, axis=0) >= 2).all():
+        # Nothing is peeled: the null rows of the reduced form, as before.
+        assert np.array_equal(k, Subspace(p, cols, a).complement_projection())
+
+
+def test_kernel_of_entries_refuses_a_modulus_whose_sums_overflow():
+    # ncols * (p - 1)^2 + p is the bound, as for Subspace: at 2^31 - 1 it
+    # allows two columns and refuses three.
+    one = (np.array([0]), np.array([0]), np.array([1]))
+    assert kernel_of_entries(*one, (1, 2), BIG_PRIME).tolist() == [[0, 1]]
+    with pytest.raises(ModulusTooLarge):
+        kernel_of_entries(*one, (1, 3), BIG_PRIME)
+
+
+def test_residue_budget_is_checked_before_the_residue_is_built(monkeypatch):
+    p = 5
+    a = np.mod(_mixed(random.Random(11), p), p)
+    entries = _entries(a)
+    calls = _spy(monkeypatch, "rref")
+    kernel_of_entries(*entries, a.shape, p)
+    (residue,) = [args[0] for args in calls]
+    cells = residue.size
+    assert 0 < cells < a.size
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", cells)
+    kernel_of_entries(*entries, a.shape, p)
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", cells - 1)
+    with pytest.raises(ResidueTooLarge, match=f"RESIDUE_CELL_LIMIT = {cells - 1}"):
+        kernel_of_entries(*entries, a.shape, p)
+    assert len(calls) == 2
