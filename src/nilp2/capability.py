@@ -21,8 +21,8 @@ comes from ``fplinalg.kernel_of_entries``, which peels singleton columns
 and hands only the dense residue to ``rref``, and the epicentre is the
 common kernel of the column slices (beta[t*n + i])_t of a basis of ker J.
 Construction outputs have at most 3 nonzeros per row of J and peel
-entirely; on dense kappa nothing peels, and J is eliminated whole, as it
-is when it is small.
+entirely; on dense kappa nothing peels, and J's rows with entries are
+eliminated whole, as they are when J is small.
 ``jacobi_subspace`` builds the relation subspace itself; the epicentre
 does not use it.
 
@@ -194,14 +194,12 @@ def epicentre_in_derived(group: GroupPresentation) -> Subspace:
     if kernel.shape[0] == 0:
         # The relation subspace is everything, so every g qualifies.
         return Subspace.full(group.p, m)
-    # The slice of generator i holds the slots t*n + i.  Its zero rows
-    # constrain nothing, and on sparse kappa most rows are zero.  The
-    # kernel is column-major, so its transpose reshapes without a copy.
-    live = kernel.T.reshape(m, n, -1).max(axis=0) > 0
-    if live.all():
-        stacked = np.concatenate([kernel[:, i::n] for i in range(n)], axis=0)
-    else:
-        stacked = np.concatenate([kernel[live[i], i::n] for i in range(n)], axis=0)
+    # slices[i, r] = kernel[r, i::n], the slots t*n + i of generator i.
+    # Zero rows constrain nothing, and on sparse kappa most rows are zero.
+    # The kernel is column-major, so its transpose reshapes without a
+    # copy, and the mask gathers the stacked rows in one allocation.
+    slices = kernel.T.reshape(m, n, -1).transpose(1, 2, 0)
+    stacked = slices[slices.any(axis=2)]
     return Subspace(group.p, m, kernel_basis(stacked, group.p))
 
 

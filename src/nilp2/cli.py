@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 a verdict was computed, 1 usage error, 2 an input that fails
-validation or cannot be read, decoded or parsed, or an output that cannot
-be written, 3 verification failure.  Every error is one `error:` line on
+validation or cannot be read, decoded or parsed, an output that cannot
+be written, or an epicentre whose dense Jacobi residue would exceed
+``fplinalg.RESIDUE_CELL_LIMIT`` = 2^24 cells (``ResidueTooLarge``,
+refused before it is allocated), 3 verification failure.  Every error is one `error:` line on
 stderr, after the usage when argparse rejects the arguments.  Reports are
 `key = value` lines in a fixed key order so identical inputs produce
 byte-identical output; subspace bases print as echelon rows joined by

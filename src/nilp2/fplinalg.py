@@ -329,10 +329,11 @@ def kernel_of_entries(rows, cols, vals, shape, p: int) -> np.ndarray:
     or later, so the rows taken in one round do not interact.  The live
     rows, over the columns that still meet them, form the dense residue,
     which ``rref`` eliminates once; a residue above RESIDUE_CELL_LIMIT
-    cells is refused before it is allocated.  When no round takes a row,
-    or the matrix has at most _PEEL_MIN_CELLS cells and is not peeled,
-    the residue is the whole matrix and the basis is ``_null_rows`` of
-    its reduced form.
+    cells is refused before it is allocated.  Rows without entries are
+    never live.  When no round takes a row, or the matrix has at most
+    _PEEL_MIN_CELLS cells and is not peeled, the residue is the rows with
+    entries over all columns, and the basis is ``_null_rows`` of its
+    reduced form.
 
     The basis holds one vector per free column f, in increasing order: a
     column that is no peeled or residue pivot.  It is 1 at f, the residue's
@@ -344,7 +345,8 @@ def kernel_of_entries(rows, cols, vals, shape, p: int) -> np.ndarray:
     p = int(p)
     nrows, ncols = shape
     check_int64(ncols * (p - 1) ** 2 + p, p, "kernel")
-    live = np.ones(nrows, dtype=bool)
+    live = np.zeros(nrows, dtype=bool)  # rows without entries constrain nothing
+    live[rows] = True
     rounds = []
     while nrows * ncols > _PEEL_MIN_CELLS:  # small matrices are not peeled
         counts = np.bincount(cols, minlength=ncols)
@@ -359,20 +361,17 @@ def kernel_of_entries(rows, cols, vals, shape, p: int) -> np.ndarray:
         rest[at] = False
         rounds.append((taken, cols[at], vals[at], rows[rest], cols[rest], vals[rest]))
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    if rounds:
-        res_cols = np.flatnonzero(counts)
-        dims = (np.count_nonzero(live), res_cols.size)
-    else:
-        dims = shape
+    res_cols = np.flatnonzero(counts) if rounds else np.arange(ncols)
+    dims = (np.count_nonzero(live), res_cols.size)
     if dims[0] * dims[1] > RESIDUE_CELL_LIMIT:
         raise ResidueTooLarge(
             f"dense residue of {dims[0]} x {dims[1]} = {dims[0] * dims[1]} cells "
             f"exceeds RESIDUE_CELL_LIMIT = {RESIDUE_CELL_LIMIT}"
         )
-    if rounds:  # positions within the residue
-        rows, cols = np.cumsum(live)[rows] - 1, np.cumsum(counts > 0)[cols] - 1
+    # At their positions within the residue; the position arrays are
+    # freed before the elimination.
     residue = np.zeros(dims, dtype=np.int64)
-    residue[rows, cols] = vals
+    residue[np.cumsum(live)[rows] - 1, np.cumsum(counts > 0)[cols] - 1 if rounds else cols] = vals
     r, pivots = rref(residue, p) if residue.size else (residue, [])
     del residue  # rref returned a fresh array; the null rows are built beside it
     if not rounds:

@@ -22,7 +22,8 @@ from nilp2.constructions import (
     extraspecial_p5,
     heisenberg,
 )
-from nilp2.errors import OrderExceedsCap, PreconditionCenterNotDerived, SpanDeficit
+from nilp2 import fplinalg
+from nilp2.errors import OrderExceedsCap, PreconditionCenterNotDerived, ResidueTooLarge, SpanDeficit
 from nilp2.fileformats import format_group, parse_group_text
 from nilp2.fplinalg import Subspace, kernel_of_entries, rref
 from nilp2.group_core import GroupPresentation, center, cyclic, elementary_abelian, from_kappa
@@ -183,6 +184,18 @@ SPARSE_INPUTS = [
 @pytest.mark.parametrize("index", range(len(SPARSE_INPUTS)))
 def test_front_end_on_sparse_kappa(index):
     _check_front_end(SPARSE_INPUTS[index])
+
+
+def test_residue_of_an_extraspecial_group_is_its_rows_with_entries(monkeypatch):
+    # Extraspecial 3^13: no Jacobi column is a singleton, and only the 60
+    # triples that hold one of the six pairs (x_2i-1, x_2i) have entries.
+    # The residue is those 60 rows over all 12 columns, not J's 220 x 12.
+    g = _extraspecial(3, 6)
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 60 * 12)
+    assert epicentre_in_derived(g) == dense_epicentre(g)
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 60 * 12 - 1)
+    with pytest.raises(ResidueTooLarge, match="60 x 12 = 720 cells"):
+        epicentre_in_derived(g)
 
 
 @pytest.mark.parametrize("seed,p,n,m", [(0, 3, 6, 6), (1, 5, 7, 12), (2, 7, 8, 8), (3, 3, 9, 20), (4, 3, 5, 9)])

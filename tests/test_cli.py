@@ -255,15 +255,15 @@ def test_missing_input_file_is_an_input_error(tmp_path, capsys):
 
 
 def test_residue_budget_is_an_engine_error(tmp_path, capsys, monkeypatch):
-    # Extraspecial 3^7: no Jacobi column is a singleton, so the residue is
-    # all 20 x 6 cells of J.
+    # Extraspecial 3^7: J is too small to peel, and the 12 of its 20 rows
+    # that have entries, over all 6 columns, form the residue.
     path = write(tmp_path, "e3_7.grp", "nilp2 v1\np 3\nn 6\nm 1\nc 2 1 1\nc 4 3 1\nc 6 5 1\n")
-    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 119)
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 71)
     assert main(["capable", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "exceeds RESIDUE_CELL_LIMIT = 119" in _one_error_line(captured.err)
-    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 120)
+    assert "exceeds RESIDUE_CELL_LIMIT = 71" in _one_error_line(captured.err)
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 72)
     assert main(["capable", path]) == 0
 
 
