@@ -9,12 +9,10 @@ from .capability import (
     CentralDecomposition,
     DecompositionSearch,
     DecompositionVerdict,
-    EpicentreCrossCheck,
     RpVerdict,
     capability_verdict,
     central_decomposition,
     central_decomposition_search,
-    epicentre_cross_check,
     epicentre_in_derived,
     jacobi_subspace,
 )
@@ -45,6 +43,7 @@ from .group_core import (
     power,
     quotient_by_central,
 )
+from .oracles import EpicentreCrossCheck, epicentre_cross_check
 from .products import (
     Identification,
     ProductResult,

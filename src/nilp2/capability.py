@@ -1,8 +1,7 @@
 """Capability verdicts, the epicentre of nonabelian groups, central
-decompositions, the restricted-class membership test, and two desk-scale
-oracles: the brute-force decomposition search, which the subgroup
-enumeration refuses above ORDER_CAP, and the quotient cross-check, which
-refuses m > CROSS_CHECK_MAX_DERIVED_DIM.
+decompositions, the restricted-class membership test, and the brute-force
+decomposition search, a desk-scale oracle that the subgroup enumeration
+refuses above ORDER_CAP.  The quotient cross-check is in ``oracles``.
 
 The epicentre computation works in the tensor space F_p^m (x) F_p^n,
 flattened with the derived index major and the abelianized index minor:
@@ -15,24 +14,29 @@ the relation subspace are
 and an element g of the derived space is in the epicentre exactly when
 g (x) e_i lies in that subspace for every generator index i, that is,
 when g (x) e_i is orthogonal to ker J for the C(n, 3) x nm matrix J of
-the J(i, j, k).  The criterion holds when the center coincides with the
-derived subgroup.  J's entries are built from kappa's nonzeros, ker J
+the J(i, j, k).  J is built once, as ``_jacobi_entries`` from kappa's
+nonzeros; ``jacobi_subspace`` is the row space of those entries.  ker J
 comes from ``fplinalg.kernel_of_entries``, which peels singleton columns
 and hands only the dense residue to ``rref``, and the epicentre is the
 common kernel of the column slices (beta[t*n + i])_t of a basis of ker J.
 Construction outputs have at most 3 nonzeros per row of J and peel
 entirely; on dense kappa nothing peels, and J's rows with entries are
 eliminated whole, as they are when J is small.
-``jacobi_subspace`` builds the relation subspace itself; the epicentre
-does not use it.
 
-Every other nonabelian group is G = H x C_p^r, where r is the dimension of
-the radical R of kappa and H is generated by the generators at the
-non-pivot columns of R's echelon basis; then Z(H) = [H, H] = [G, G] in
-the same derived coordinates.  The exterior square of a direct product
-splits (Brown, Johnson and Robertson, J. Algebra 111, 1987) and the
-exterior centre is the epicentre (Ellis, J. London Math. Soc. 51, 1995),
-so Z*(G) = Z*(H) x 1, and the criterion applied to H decides G.
+When Z(G) > G', G = H x C_p^r, where r is the dimension of the radical R
+of kappa and H is generated by the generators at the non-pivot columns of
+R's echelon basis; then Z(H) = [H, H] = [G, G] in the same derived
+coordinates.  The exterior square of a direct product splits (Brown,
+Johnson and Robertson, J. Algebra 111, 1987) and the exterior centre is
+the epicentre (Ellis, J. London Math. Soc. 51, 1995), so
+Z*(G) = Z*(H) x 1, and the criterion applied to H decides G.  Applied to
+G it gives the same answer, as J(u, v, w) is trilinear and alternating:
+its span does not depend on the generators, and in a basis adapted to
+V = V_H + R it is H's plus G' (x) R.  The split saves C(n, 3) - C(n - r, 3)
+rows of J and the peel, which a radical not aligned with the generators
+defeats: for the free class-2 group of rank 12 times C_3^12 on random
+generators, J is a dense 2,024 x 1,584 elimination of 0.22 s, against
+0.02 s for the split epicentre (2-core machine, Python 3.11).
 
 A group with Z(G) = G' is a nontrivial central product iff the algebra
 Sym(kappa) = {F in End V : kappa(Fx, y) = kappa(x, Fy)} holds an idempotent
@@ -53,10 +57,9 @@ import random
 
 import numpy as np
 
-from .errors import OrderExceedsCap, PreconditionCenterNotDerived
+from .errors import PreconditionCenterNotDerived
 from .fplinalg import (
     Subspace,
-    all_subspaces,
     all_vectors,
     kernel_basis,
     kernel_of_entries,
@@ -70,7 +73,6 @@ from .group_core import (
     center,
     enumerate_subgroups,
     from_kappa,
-    quotient_by_central,
 )
 
 __all__ = [
@@ -78,12 +80,10 @@ __all__ = [
     "CentralDecomposition",
     "DecompositionSearch",
     "DecompositionVerdict",
-    "EpicentreCrossCheck",
     "RpVerdict",
     "capability_verdict",
     "central_decomposition",
     "central_decomposition_search",
-    "epicentre_cross_check",
     "epicentre_in_derived",
     "jacobi_subspace",
     "rp_membership",
@@ -97,24 +97,6 @@ NOT_CAPABLE = "not_capable"
 SYM_ENUMERATION_LIMIT = 1 << 18
 # Seed of the test vectors x_1, x_2 of the Sym certificate.
 SYM_SEED = 0
-# epicentre_cross_check enumerates the subspaces of F_p^m only up to this m.
-CROSS_CHECK_MAX_DERIVED_DIM = 4
-
-
-def jacobi_subspace(group: GroupPresentation) -> Subspace:
-    """The relation subspace, spanned by J(i, j, k) for i < j < k."""
-    n, m = group.n, group.m
-    triples = list(itertools.combinations(range(n), 3))
-    kap = group.kappa_table()
-    out = np.zeros((len(triples), m, n), dtype=np.int64)
-    if triples:
-        rows = np.arange(len(triples))
-        x, y, z = (np.array(t) for t in zip(*triples))
-        # Within one row the three target columns differ, so no scatter
-        # index repeats.
-        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            out[rows, :, c] += kap[a, b]
-    return Subspace(group.p, m * n, np.mod(out.reshape(len(triples), m * n), group.p))
 
 
 def _radical_complement(group: GroupPresentation, radical: Subspace) -> GroupPresentation:
@@ -130,23 +112,17 @@ def _radical_complement(group: GroupPresentation, radical: Subspace) -> GroupPre
 def _triple_slots(n: int):
     """The pairs a < b as ``np.triu_indices`` gives them and, for each pair
     and each third index c in increasing order, the row of the sorted
-    triple among the 3-subsets of range(n) in lexicographic order, c, and
-    whether a < c < b: read-only arrays, the last three of shape
+    triple among ``itertools.combinations(range(n), 3)``, c, and whether
+    a < c < b: read-only arrays, the last three of shape
     (C(n, 2), n - 2)."""
-    pair_index = np.triu_indices(n, 1)
-    a, b = (x[:, None] for x in pair_index)
-    c = np.arange(n - 2)
-    c = c + (c >= a)
-    c += c >= b
-    x, z = np.minimum(a, c), np.maximum(b, c)
-    y = a + b + c - x - z
-    # The triples before (x, y, z): those with a smaller first index, then
-    # those with first index x and a smaller second one.  above[j] =
-    # C(n - 1 - j, 2) counts the pairs of indices above j.
-    k = np.arange(n - 1, 0, -1)
-    above = k * (k - 1) // 2
-    rows = np.cumsum(np.r_[0, above[:-1]])[x] + above[x] - above[y - 1] + z - y - 1
-    out = (*pair_index, rows, c, (a < c) & (c < b))
+    x, y, z = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3).T
+    # The terms (a, b; c) of J(x, y, z): kappa(x, y) (x) e_z,
+    # kappa(y, z) (x) e_x and kappa(z, x) (x) e_y, the last on the pair (x, z).
+    a, b, c = np.concatenate([x, y, x]), np.concatenate([y, z, z]), np.concatenate([z, x, y])
+    order = np.lexsort((c, b, a))
+    shape = (n * (n - 1) // 2, max(n - 2, 0))
+    rows = np.tile(np.arange(len(x)), 3)
+    out = (*np.triu_indices(n, 1), *(v[order].reshape(shape) for v in (rows, c, (a < c) & (c < b))))
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -168,6 +144,15 @@ def _jacobi_entries(group: GroupPresentation):
     v = pairs[pair, t][:, None]
     vals = np.where(flip[pair], p - v, v)
     return rows[pair].ravel(), (t[:, None] * n + c[pair]).ravel(), vals.ravel()
+
+
+def jacobi_subspace(group: GroupPresentation) -> Subspace:
+    """The relation subspace, spanned by J(i, j, k) for i < j < k: the row
+    space of the matrix with the entries of ``_jacobi_entries``."""
+    rows, cols, vals = _jacobi_entries(group)
+    out = np.zeros((math.comb(group.n, 3), group.m * group.n), dtype=np.int64)
+    out[rows, cols] = vals
+    return Subspace(group.p, out.shape[1], out)
 
 
 def epicentre_in_derived(group: GroupPresentation) -> Subspace:
@@ -488,46 +473,3 @@ def rp_membership(group: GroupPresentation) -> RpVerdict:
         f"central_decomposition_found({decomposition.left_order},{decomposition.right_order})"
     )
     return RpVerdict("non_member", tuple(reasons))
-
-
-@dataclass(frozen=True)
-class EpicentreCrossCheck:
-    passed: bool
-    epicentre_dim: int
-    quotients_checked: int
-    failures: tuple
-
-
-def epicentre_cross_check(group: GroupPresentation) -> EpicentreCrossCheck:
-    """Consistency oracle for the computed epicentre.
-
-    Enumerates every subspace N of the derived coordinates and checks
-    (i) whenever G/N is capable, N contains the computed epicentre, and
-    (ii) the quotient by the computed epicentre itself is capable.
-    Nontrivial abelian groups are refused, as by epicentre_in_derived, and
-    so are groups with m > CROSS_CHECK_MAX_DERIVED_DIM.
-    """
-    if group.m > CROSS_CHECK_MAX_DERIVED_DIM:
-        raise OrderExceedsCap(
-            f"derived dimension {group.m} exceeds the enumeration limit {CROSS_CHECK_MAX_DERIVED_DIM}"
-        )
-    zstar = epicentre_in_derived(group)
-    failures = []
-    checked = 0
-    for sub in all_subspaces(group.p, group.m):
-        quotient = quotient_by_central(group, sub)
-        checked += 1
-        if capability_verdict(quotient).status == CAPABLE and not sub.contains(zstar):
-            failures.append(
-                f"capable quotient by {sub.basis_tuples()} does not contain the epicentre"
-            )
-    by_epi = quotient_by_central(group, zstar)
-    checked += 1
-    if capability_verdict(by_epi).status != CAPABLE:
-        failures.append("quotient by the computed epicentre is not capable")
-    return EpicentreCrossCheck(
-        passed=not failures,
-        epicentre_dim=zstar.dim,
-        quotients_checked=checked,
-        failures=tuple(failures),
-    )

@@ -59,7 +59,6 @@ from .errors import AmbientMismatch, ModulusTooLarge, NotOddPrime, ResidueTooLar
 
 __all__ = [
     "Subspace",
-    "all_subspaces",
     "all_vectors",
     "check_int64",
     "check_odd_prime",
@@ -564,14 +563,3 @@ def all_vectors(p: int, k: int) -> np.ndarray:
     """Every vector of F_p^k as the rows of a (p^k, k) array, in
     ``itertools.product`` order: row r holds the base-p digits of r."""
     return np.arange(p**k, dtype=np.int64)[:, None] // p ** np.arange(k - 1, -1, -1, dtype=np.int64) % p
-
-
-def all_subspaces(p: int, ambient: int):
-    """Yield every subspace of F_p^ambient, in ``echelon_bases`` order.
-
-    Counts grow like Gaussian binomials, so keep the ambient dimension
-    small.
-    """
-    for _, bases in echelon_bases(p, ambient):
-        for basis in bases:
-            yield Subspace(p, ambient, basis)

@@ -21,7 +21,6 @@ from .capability import (
     capability_verdict,
     central_decomposition,
     central_decomposition_search,
-    epicentre_cross_check,
     epicentre_in_derived,
 )
 from .constructions import build_capable_extension, build_noncapable_extension, extraspecial_p5, heisenberg
@@ -42,6 +41,7 @@ from .group_core import (
     multiply,
     power,
 )
+from .oracles import epicentre_cross_check
 from .products import (
     Identification,
     amalgamated_coproduct,

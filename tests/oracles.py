@@ -1,15 +1,17 @@
 """Reference implementations for differential tests: subgroup enumeration
 by coset growth, injectivity by a kernel scan, map composition by applying
 one map to the other's generator images, the Jacobi relation vector of one
-triple, the epicentre by one elimination of the dense Jacobi matrix, the
-elements behind element-table indices, and the four products built
+triple, the Jacobi criterion by one elimination of the dense Jacobi
+matrix, on the group as given or after the radical split, the elements
+behind element-table indices, and the four products built
 commutator by commutator through a stage presentation."""
 
 import itertools
+import math
 
 import numpy as np
 
-from nilp2.capability import _radical_complement, jacobi_subspace
+from nilp2.capability import _radical_complement
 from nilp2.errors import PreconditionCenterNotDerived, PresentationMismatch
 from nilp2.fplinalg import Subspace, kernel_basis
 from nilp2.group_core import GroupPresentation, Subgroup, _tables, _weights, center, hom_from_images
@@ -33,13 +35,29 @@ def jacobi_matrix(group: GroupPresentation) -> np.ndarray:
     """The C(n, 3) x nm matrix whose rows are the relation vectors of the
     triples i < j < k, in combinations order."""
     rows = [jacobi_vector(group, *(t + 1 for t in triple)) for triple in itertools.combinations(range(group.n), 3)]
-    return np.array(rows, dtype=np.int64).reshape(-1, group.m * group.n)
+    return np.array(rows, dtype=np.int64).reshape(math.comb(group.n, 3), group.m * group.n)
+
+
+def jacobi_criterion(group: GroupPresentation) -> Subspace:
+    """{g : g (x) e_i lies in the span of the rows of jacobi_matrix for
+    every i}, on the group as given: one elimination of the whole dense
+    matrix, whose row space's complement projection spans ker J."""
+    n, m = group.n, group.m
+    if m == 0:
+        return Subspace.zero(group.p, 0)
+    q = Subspace(group.p, m * n, jacobi_matrix(group)).complement_projection()
+    if q.shape[0] == 0:
+        # The relation subspace is everything, so every g qualifies.
+        return Subspace.full(group.p, m)
+    q3 = q.reshape(-1, m, n)
+    stacked = np.concatenate([q3[:, :, i] for i in range(n)], axis=0)
+    return Subspace(group.p, m, kernel_basis(stacked, group.p))
 
 
 def dense_epicentre(group: GroupPresentation) -> Subspace:
     """The epicentre as capability.epicentre_in_derived computed it before
-    its sparse front end: one elimination of the whole dense Jacobi matrix,
-    whose relation subspace's complement projection spans ker J."""
+    its sparse front end: the radical split, then jacobi_criterion on the
+    factor H."""
     info = center(group)
     if not info.center_equals_derived:
         if group.is_abelian:
@@ -47,16 +65,7 @@ def dense_epicentre(group: GroupPresentation) -> Subspace:
                 "epicentre computation requires a nonabelian group"
             )
         group = _radical_complement(group, info.radical)
-    n, m = group.n, group.m
-    if m == 0:
-        return Subspace.zero(group.p, 0)
-    q = jacobi_subspace(group).complement_projection()
-    if q.shape[0] == 0:
-        # The relation subspace is everything, so every g qualifies.
-        return Subspace.full(group.p, m)
-    q3 = q.reshape(-1, m, n)
-    stacked = np.concatenate([q3[:, :, i] for i in range(n)], axis=0)
-    return Subspace(group.p, m, kernel_basis(stacked, group.p))
+    return jacobi_criterion(group)
 
 
 def decode(group: GroupPresentation, indices) -> tuple:

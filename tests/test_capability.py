@@ -8,10 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 from nilp2.capability import (
     _jacobi_entries,
     _radical_complement,
+    _triple_slots,
     capability_verdict,
     central_decomposition,
     central_decomposition_search,
-    epicentre_cross_check,
     epicentre_in_derived,
     jacobi_subspace,
     rp_membership,
@@ -27,6 +27,7 @@ from nilp2.errors import OrderExceedsCap, PreconditionCenterNotDerived, ResidueT
 from nilp2.fileformats import format_group, parse_group_text
 from nilp2.fplinalg import Subspace, kernel_of_entries, rref
 from nilp2.group_core import GroupPresentation, center, cyclic, elementary_abelian, from_kappa
+from nilp2.oracles import epicentre_cross_check
 from nilp2.products import Identification, amalgamated_coproduct, central_product_identified, direct_product
 from nilp2.selfcheck import (
     _amalgam_battery,
@@ -35,7 +36,7 @@ from nilp2.selfcheck import (
     random_presentation,
     rebase,
 )
-from oracles import dense_epicentre, jacobi_matrix, jacobi_vector
+from oracles import dense_epicentre, jacobi_criterion, jacobi_matrix, jacobi_vector
 
 
 # -- relation subspace ------------------------------------------------------------
@@ -68,6 +69,40 @@ def test_jacobi_rows_are_the_relation_vectors():
     triples = itertools.combinations(range(1, g.n + 1), 3)
     vectors = [jacobi_vector(g, *triple) for triple in triples]
     assert jacobi_subspace(g) == Subspace(g.p, g.m * g.n, np.array(vectors).reshape(-1, g.m * g.n))
+
+
+def _random_kappa(rng, p, n):
+    """A presentation from a random (n, n, m) pairing array, m <= C(n, 2)."""
+    m = int(rng.integers(0, n * (n - 1) // 2 + 1))
+    while True:
+        try:
+            return from_kappa(p, rng.integers(0, p, (n, n, m)))
+        except SpanDeficit:
+            continue
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", range(10))
+def test_one_jacobi_builder_at_every_small_rank(n, p):
+    # Every (pair, third index) once, pairs in triu order and thirds
+    # increasing, each in the combinations row of its triple; n < 3 has
+    # pairs but no triples.
+    a, b, triple_row, c, flip = _triple_slots(n)
+    assert triple_row.shape == c.shape == flip.shape == (n * (n - 1) // 2, max(n - 2, 0))
+    named = [(int(a[q]), int(b[q]), int(k)) for q in range(len(a)) for k in c[q]]
+    assert named == [(i, j, k) for i, j in itertools.combinations(range(n), 2) for k in range(n) if k not in (i, j)]
+    triples = list(itertools.combinations(range(n), 3))
+    assert [triples[r] for r in triple_row.ravel()] == [tuple(sorted(t)) for t in named]
+    assert flip.ravel().tolist() == [i < k < j for i, j, k in named]
+    # The dense scatter of the entries is the oracle's J, and its row space
+    # is jacobi_subspace.
+    g = _random_kappa(np.random.default_rng(100 * n + p), p, n)
+    jac = jacobi_matrix(g)
+    rows, cols, vals = _jacobi_entries(g)
+    built = np.zeros_like(jac)
+    built[rows, cols] = vals
+    assert np.array_equal(built, jac)
+    assert jacobi_subspace(g) == Subspace(p, n * g.m, jac)
 
 
 def test_jacobi_vanishes_on_repeats():
@@ -283,6 +318,20 @@ def test_direct_factor_cp_r_keeps_status_and_epicentre(seed, n, r, p, data):
     assert epicentre_in_derived(g) == epicentre_in_derived(h)
     vg, vh = capability_verdict(g), capability_verdict(h)
     assert (vg.status, vg.method, vg.evidence) == (vh.status, vh.method, vh.evidence)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 3), p=st.sampled_from([3, 5]))
+def test_jacobi_criterion_on_the_unsplit_group_is_the_epicentre(seed, r, p):
+    # The span of J does not depend on the generators, and in a basis
+    # adapted to V = V_H + R it is H's plus G' (x) R: the radical split
+    # saves work and changes no answer.
+    rng = random.Random(seed)
+    h = random_presentation(rng, p, max_n=5)
+    assume(not h.is_abelian)
+    g = rebase(direct_product(h, elementary_abelian(p, r)).group, _random_invertible(rng, p, h.n + r))
+    assert center(g).radical.dim >= r
+    assert jacobi_criterion(g) == epicentre_in_derived(g)
 
 
 # -- named criteria -------------------------------------------------------------------

@@ -7,7 +7,6 @@ from nilp2 import fplinalg
 from nilp2.errors import AmbientMismatch, ModulusTooLarge, NotOddPrime, ResidueTooLarge
 from nilp2.fplinalg import (
     Subspace,
-    all_subspaces,
     all_vectors,
     check_odd_prime,
     echelon_bases,
@@ -17,6 +16,7 @@ from nilp2.fplinalg import (
     rref,
     solve_matrix,
 )
+from nilp2.oracles import all_subspaces
 
 
 def test_odd_prime_detection():
