@@ -61,6 +61,7 @@ from .errors import PreconditionCenterNotDerived
 from .fplinalg import (
     Subspace,
     all_vectors,
+    check_cells,
     kernel_basis,
     kernel_of_entries,
     rref,
@@ -387,6 +388,7 @@ def central_decomposition(group: GroupPresentation) -> DecompositionVerdict:
     if group.is_abelian:
         if n < 2:
             return DecompositionVerdict("none")
+        check_cells((n, n), "hyperplane basis")
         eye = np.eye(n, dtype=np.int64)
         return _found(group, Subspace(p, n, eye[:-1]), Subspace(p, n, eye[1:]), 0)
     radical = center(group).radical

@@ -2,9 +2,9 @@
 
 Exit codes: 0 a verdict was computed, 1 usage error, 2 an input that fails
 validation or cannot be read, decoded or parsed, an output that cannot
-be written, or an epicentre whose dense Jacobi residue would exceed
-``fplinalg.RESIDUE_CELL_LIMIT`` = 2^24 cells (``ResidueTooLarge``,
-refused before it is allocated), 3 verification failure.  Every error is one `error:` line on
+be written, or a dense array (a group's tables, an epicentre's Jacobi
+residue) above ``fplinalg.RESIDUE_CELL_LIMIT`` = 2^24 cells, refused with
+``ResidueTooLarge`` before it is allocated, 3 verification failure.  Every error is one `error:` line on
 stderr, after the usage when argparse rejects the arguments.  Reports are
 `key = value` lines in a fixed key order so identical inputs produce
 byte-identical output; subspace bases print as echelon rows joined by
@@ -42,7 +42,6 @@ from .products import (
     direct_product,
     nilpotent2_product,
 )
-from .selfcheck import run_all
 
 REPORT_KEYS = (
     "verdict",
@@ -248,6 +247,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selfcheck import run_all  # the battery's module is loaded only here
+
     results = run_all()
     for result in results:
         sys.stdout.write(result.line() + "\n")

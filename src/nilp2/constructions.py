@@ -82,10 +82,10 @@ def _image_line(hom: GeneratorMap, vec: tuple, p: int) -> tuple:
 def _least_nonzero_commutator(group: GroupPresentation) -> tuple:
     """Deterministic nontrivial derived element: the commutator vector of
     the lexicographically least nonzero pair, normalized monic."""
-    if not group.c_items:
+    nonzero = np.flatnonzero(group.pairs.any(axis=1))
+    if not nonzero.size:
         raise Nilp2Error("presentation has no nonzero commutators")
-    (_, vec) = group.c_items[0]
-    return _monic(vec, group.p)
+    return _monic(group.pairs[nonzero[0]], group.p)
 
 
 @dataclass(frozen=True)

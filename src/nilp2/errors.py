@@ -77,4 +77,4 @@ class ParseError(Nilp2Error):
 
 
 class ResidueTooLarge(Nilp2Error):
-    """The dense residue of a sparse elimination exceeds its cell budget."""
+    """A dense array sized from the input exceeds its cell budget."""

@@ -52,6 +52,7 @@ ambient * (p - 1)^2 + p >= 2^63, which bounds the sums in
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -60,6 +61,7 @@ from .errors import AmbientMismatch, ModulusTooLarge, NotOddPrime, ResidueTooLar
 __all__ = [
     "Subspace",
     "all_vectors",
+    "check_cells",
     "check_int64",
     "check_odd_prime",
     "echelon_bases",
@@ -306,9 +308,20 @@ def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-# Cells of the dense residue that kernel_of_entries may hand to rref.  At
-# int64 that is 128 MB, and rref holds a working copy and an output beside it.
+# Cells of a dense array sized from the input, such as the residue that
+# kernel_of_entries hands to rref.  At int64 that is 128 MB, and rref holds
+# a working copy and an output beside it.
 RESIDUE_CELL_LIMIT = 1 << 24
+
+
+def check_cells(shape, what: str) -> None:
+    """Refuse a dense array of this shape above RESIDUE_CELL_LIMIT cells."""
+    cells, limit = math.prod(shape), RESIDUE_CELL_LIMIT
+    if cells > limit:
+        dims = " x ".join(map(str, shape))
+        raise ResidueTooLarge(f"{what} of {dims} = {cells} cells exceeds RESIDUE_CELL_LIMIT = {limit}")
+
+
 # Up to this many cells a matrix is eliminated whole: its elimination costs
 # less than the fixed cost of the peeling rounds.
 _PEEL_MIN_CELLS = 1 << 10
@@ -362,11 +375,7 @@ def kernel_of_entries(rows, cols, vals, shape, p: int) -> np.ndarray:
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
     res_cols = np.flatnonzero(counts) if rounds else np.arange(ncols)
     dims = (np.count_nonzero(live), res_cols.size)
-    if dims[0] * dims[1] > RESIDUE_CELL_LIMIT:
-        raise ResidueTooLarge(
-            f"dense residue of {dims[0]} x {dims[1]} = {dims[0] * dims[1]} cells "
-            f"exceeds RESIDUE_CELL_LIMIT = {RESIDUE_CELL_LIMIT}"
-        )
+    check_cells(dims, "dense residue")
     # At their positions within the residue; the position arrays are
     # freed before the elimination.
     residue = np.zeros(dims, dtype=np.int64)

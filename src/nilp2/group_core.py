@@ -3,7 +3,11 @@
 A presentation is the data (p, n, m, c): generators x_1..x_n spanning the
 group modulo its derived subgroup, the derived subgroup identified with
 F_p^m, and c(j, i) in F_p^m the coordinates of [x_j, x_i] for
-1 <= i < j <= n.  Every element has a unique normal form
+1 <= i < j <= n, held as one read-only int64 array ``pairs`` of shape
+(C(n, 2), m) in the row order of ``np.tril_indices(n, -1)``.  Tables of
+more than RESIDUE_CELL_LIMIT cells, (n, n, m) or ``center``'s n x n, are
+refused with ResidueTooLarge before allocation.  Every element has a unique
+normal form
 
     x_1^{v_1} ... x_n^{v_n} * z^w,    v in F_p^n, w in F_p^m,
 
@@ -52,6 +56,7 @@ from .errors import (
 from .fplinalg import (
     Subspace,
     all_vectors,
+    check_cells,
     check_int64,
     check_odd_prime,
     echelon_bases,
@@ -89,55 +94,67 @@ ORDER_CAP = 243
 class GroupPresentation:
     """Validated presentation (p, n, m, c) of a class-<=2 exponent-p group.
 
-    Immutable; the commutator map c is canonicalized to its nonzero
-    entries, sorted by (j, i).  Equality and hashing ignore the label so
-    that structurally identical presentations compare equal.
+    Immutable.  c is a mapping {(j, i): vector}, checked pair by pair, or
+    the pairing rows as an int64 array, checked in one pass and taken over.
+    Equality and hashing use (p, n, m, pairs), not the label.
     """
 
-    __slots__ = ("p", "n", "m", "c_items", "label", "_kappa", "_delta", "_center", "_hash")
+    __slots__ = ("p", "n", "m", "pairs", "label", "_c_items", "_kappa", "_delta", "_center", "_hash")
 
     def __init__(self, p, n, m, c=None, label=""):
-        self.p = check_odd_prime(p)
-        n = int(n)
-        m = int(m)
+        self.p = p = check_odd_prime(p)
+        n, m = int(n), int(m)
         if n < 0 or m < 0:
             raise Nilp2Error("generator and commutator counts must be nonnegative")
-        check_int64(n * (n - 1) * (self.p - 1) ** 3, self.p, f"collection with {n} generators")
-        self.n = n
-        self.m = m
-        items = []
-        for key, vec in dict(c or {}).items():
-            j, i = (int(key[0]), int(key[1]))
-            if not (1 <= i < j <= n):
-                raise BadIndex(
-                    f"commutator index ({j}, {i}) must satisfy 1 <= i < j <= {n}"
-                )
-            entries = tuple(map(int, vec))
-            if len(entries) != m:
-                raise AmbientMismatch(
-                    f"commutator vector for ({j}, {i}) has {len(entries)} entries, expected {m}"
-                )
-            if entries and (min(entries) < 0 or max(entries) >= self.p):
-                e = next(e for e in entries if not (0 <= e < self.p))
-                raise EntryOutOfRange(
-                    f"entry {e} for commutator ({j}, {i}) is outside [0, {self.p})"
-                )
-            if any(entries):
-                items.append(((j, i), entries))
-        items.sort()
+        check_int64(n * (n - 1) * (p - 1) ** 3, p, f"collection with {n} generators")
+        check_cells((n, n, m), "pairing table")
+        shape = (n * (n - 1) // 2, m)
+        if isinstance(c, np.ndarray):
+            pairs = np.asarray(c, dtype=np.int64)
+            if pairs.shape != shape:
+                raise AmbientMismatch(f"pairing rows have shape {pairs.shape}, expected {shape}")
+            if pairs.size and (pairs.min() < 0 or pairs.max() >= p):
+                row, t = np.argwhere((pairs < 0) | (pairs >= p))[0]
+                j, i = (int(x[row]) + 1 for x in np.tril_indices(n, -1))
+                raise EntryOutOfRange(f"entry {pairs[row, t]} for commutator ({j}, {i}) is outside [0, {p})")
+        else:
+            pairs = np.zeros(shape, dtype=np.int64)
+            seen = set()
+            for key, vec in dict(c or {}).items():
+                j, i = (int(key[0]), int(key[1]))
+                if not (1 <= i < j <= n):
+                    raise BadIndex(f"commutator index ({j}, {i}) must satisfy 1 <= i < j <= {n}")
+                if (j, i) in seen:
+                    raise BadIndex(f"commutator index ({j}, {i}) is given twice")
+                seen.add((j, i))
+                entries = tuple(map(int, vec))
+                if len(entries) != m:
+                    raise AmbientMismatch(
+                        f"commutator vector for ({j}, {i}) has {len(entries)} entries, expected {m}"
+                    )
+                if entries and (min(entries) < 0 or max(entries) >= p):
+                    e = next(e for e in entries if not (0 <= e < p))
+                    raise EntryOutOfRange(f"entry {e} for commutator ({j}, {i}) is outside [0, {p})")
+                pairs[(j - 1) * (j - 2) // 2 + i - 1] = entries
         if m > 0:
-            vectors = np.array([vec for _, vec in items], dtype=np.int64).reshape(-1, m)
-            _, pivots = rref(vectors, self.p)
+            _, pivots = rref(pairs[pairs.any(axis=1)], p)
             if len(pivots) != m:
                 raise SpanDeficit(len(pivots), m)
-        self.c_items = tuple(items)
+        pairs.flags.writeable = False
+        self.n, self.m, self.pairs = n, m, pairs
         self.label = str(label)
-        self._kappa = None
-        self._delta = None
-        self._center = None
-        self._hash = None
+        self._c_items = self._kappa = self._delta = self._center = self._hash = None
 
     # -- basic structure -------------------------------------------------
+
+    @property
+    def c_items(self) -> tuple:
+        """The nonzero rows as ((j, i), vector) pairs, sorted by (j, i)."""
+        if self._c_items is None and self.m:  # with m = 0 there are none
+            rows = np.flatnonzero(self.pairs.any(axis=1))
+            j, i = (x[rows] + 1 for x in np.tril_indices(self.n, -1))
+            self._c_items = tuple(zip(zip(j.tolist(), i.tolist()), map(tuple, self.pairs[rows].tolist())))
+        return self._c_items or ()
 
     @property
     def c(self) -> dict:
@@ -161,10 +178,10 @@ class GroupPresentation:
         """Full antisymmetric pairing, shape (n, n, m)."""
         if self._kappa is None:
             k = np.zeros((self.n, self.n, self.m), dtype=np.int64)
-            keys = np.array([key for key, _ in self.c_items], dtype=np.intp).reshape(-1, 2) - 1
-            vectors = np.array([vec for _, vec in self.c_items], dtype=np.int64).reshape(len(keys), self.m)
-            k[keys[:, 0], keys[:, 1]] = vectors
-            k[keys[:, 1], keys[:, 0]] = np.mod(-vectors, self.p)
+            if self.m:  # at m = 0 nothing is placed, and the C(n, 2) indices could be huge
+                j, i = np.tril_indices(self.n, -1)
+                k[j, i] = self.pairs
+                k[i, j] = np.mod(-self.pairs, self.p)
             k.flags.writeable = False
             self._kappa = k
         return self._kappa
@@ -172,10 +189,10 @@ class GroupPresentation:
     def delta_table(self) -> np.ndarray:
         """Collection table: c(j, i) at slot (j-1, i-1) for j > i, else zero."""
         if self._delta is None:
-            below = np.tri(self.n, k=-1, dtype=bool)[:, :, None]
-            d = np.where(below, self.kappa_table(), 0)
-            d.flags.writeable = False
-            self._delta = d
+            self._delta = np.zeros((self.n, self.n, self.m), dtype=np.int64)
+            if self.m:
+                self._delta[np.tril_indices(self.n, -1)] = self.pairs
+            self._delta.flags.writeable = False
         return self._delta
 
     # -- elements ---------------------------------------------------------
@@ -219,16 +236,12 @@ class GroupPresentation:
     def __eq__(self, other):
         if not isinstance(other, GroupPresentation):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.n == other.n
-            and self.m == other.m
-            and self.c_items == other.c_items
-        )
+        same_shape = (self.p, self.n, self.m) == (other.p, other.n, other.m)
+        return same_shape and np.array_equal(self.pairs, other.pairs)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.p, self.n, self.m, self.c_items))
+            self._hash = hash((self.p, self.n, self.m, self.pairs.tobytes()))
         return self._hash
 
     def __repr__(self):
@@ -376,6 +389,7 @@ def center(group: GroupPresentation) -> CenterInfo:
     """
     if group._center is None:
         n, m = group.n, group.m
+        check_cells((n, n), "center basis")
         kap = group.kappa_table()
         # v is central iff kappa(v, e_i) = 0 for every i.
         mat = kap.transpose(1, 2, 0).reshape(n * m, n)
@@ -385,13 +399,10 @@ def center(group: GroupPresentation) -> CenterInfo:
 
 
 def from_kappa(p, kap, label="") -> GroupPresentation:
-    """The presentation with c(j, i) = kap[j-1, i-1] mod p for j > i, read
-    from an (n, n, m) pairing array below its diagonal; the entries on and
-    above the diagonal are not read."""
+    """The presentation with c(j, i) = kap[j-1, i-1] mod p for j > i: the
+    (n, n, m) pairing array is read only below its diagonal."""
     n, _, m = kap.shape
-    pairs = [(j, i) for j in range(2, n + 1) for i in range(1, j)]
-    rows = np.mod(kap[np.tri(n, k=-1, dtype=bool)], p).tolist()
-    return GroupPresentation(p, n, m, dict(zip(pairs, rows)), label=label)
+    return GroupPresentation(p, n, m, np.mod(kap[np.tri(n, k=-1, dtype=bool)], p), label=label)
 
 
 def quotient_by_central(group: GroupPresentation, sub: Subspace):
@@ -408,7 +419,7 @@ def quotient_by_central(group: GroupPresentation, sub: Subspace):
         )
     q = sub.complement_projection()
     label = f"{group.label}/N" if group.label else ""
-    return from_kappa(group.p, group.delta_table() @ q.T, label)
+    return GroupPresentation(group.p, group.n, len(q), np.mod(group.pairs @ q.T, group.p), label)
 
 
 # -- homomorphisms -----------------------------------------------------------
@@ -493,13 +504,11 @@ def hom_from_images(dom: GroupPresentation, cod: GroupPresentation, images) -> G
             raise PresentationMismatch("generator image lies in the wrong presentation")
 
     # Row k of vs is the image of x_{k+1}; the mask selects the pairs j > i
-    # in row-major order.
+    # in the order of dom.pairs.
     vs = np.array([img.v for img in images], dtype=np.int64).reshape(dom.n, cod.n)
-    below = np.tri(dom.n, k=-1, dtype=bool)
-    dom_rows = dom.delta_table()[below]
-    img_rows = _kappa(cod, vs, vs)[below]
+    img_rows = _kappa(cod, vs, vs)[np.tri(dom.n, k=-1, dtype=bool)]
 
-    solution = solve_matrix(dom_rows, img_rows, dom.p)
+    solution = solve_matrix(dom.pairs, img_rows, dom.p)
     if solution is None:
         matrix = None
     else:

@@ -1,9 +1,9 @@
 """Product constructors: direct, 2-nilpotent, central with identification,
 and the amalgamated coproduct.
 
-All four are one builder, ``_product``, which fills one pairing array and
-builds the product presentation from it once.  Generator order is fixed:
-the left factor's generators always come first, so each canonical
+All four are one builder, ``_product``, which fills the product's pairing
+rows once and builds the product presentation from them.  Generator order
+is fixed: the left factor's generators always come first, so each canonical
 embedding is the inclusion x_i -> x_i of the factor's generators, solved
 on the final product when first read.
 
@@ -25,8 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidIdentification, PresentationMismatch, TrivialFactor
-from .fplinalg import Subspace, _product_dtype, rref
-from .group_core import GeneratorMap, GroupPresentation, from_kappa, hom_from_images
+from .fplinalg import Subspace, _product_dtype, check_cells, rref
+from .group_core import GeneratorMap, GroupPresentation, hom_from_images
 
 __all__ = [
     "Identification",
@@ -103,8 +103,9 @@ def _product(a, b, ident, tensor: bool, op: str) -> ProductResult:
     """The product of a and b, with the tensor block when tensor is set,
     glued along ident when it is given; op names it in the label.
 
-    Only the pairs below the diagonal are projected, as they are all that
-    from_kappa reads.
+    The pair (j, i), 0-based with j > i, is row j(j-1)/2 + i of the rows,
+    so a's rows come first and b's are scattered once.  The glue is one
+    product of the rows with the complement projection.
     """
     if a.p != b.p:
         raise PresentationMismatch(f"factors have different moduli {a.p} and {b.p}")
@@ -115,26 +116,26 @@ def _product(a, b, ident, tensor: bool, op: str) -> ProductResult:
         raise TrivialFactor("amalgamated coproduct requires nontrivial factors")
     p, n = a.p, a.n + b.n
     m = a.m + b.m + (a.n * b.n if tensor else 0)
-    table = np.zeros((n, n, m), dtype=np.int64)
-    table[: a.n, : a.n, : a.m] = a.delta_table()
-    table[a.n :, a.n :, a.m : a.m + b.m] = b.delta_table()
+    check_cells((n, n, m), "pairing table")
+    rows = np.zeros((n * (n - 1) // 2, m), dtype=np.int64)
+    rows[: len(a.pairs), : a.m] = a.pairs
+    if b.m:  # at m = 0 nothing is placed, and the C(n, 2) indices could be huge
+        j, i = (x + a.n for x in np.tril_indices(b.n, -1))
+        rows[j * (j - 1) // 2 + i, a.m : a.m + b.m] = b.pairs
     if tensor:
         j, i = np.indices((b.n, a.n)).reshape(2, -1)
-        table[a.n + j, i, a.m + b.m + j * a.n + i] = 1
+        rows[(a.n + j) * (a.n + j - 1) // 2 + i, a.m + b.m + j * a.n + i] = 1
     if ident is not None and ident.size:
         glue = np.zeros((ident.size, m), dtype=np.int64)
         glue[:, : a.m] = ident.source_basis
         glue[:, a.m : a.m + b.m] = np.negative(ident.target_basis)
         q = Subspace(p, m, glue).complement_projection()
-        below = np.tri(n, k=-1, dtype=bool)
         # Exact in float whenever _product_dtype allows, and then run by
         # BLAS; int64 otherwise, which Subspace's modulus check keeps exact.
         exact = _product_dtype(m, p) or np.int64
-        rows = (table[below].astype(exact) @ q.T.astype(exact)).astype(np.int64)
-        table = np.zeros((n, n, len(q)), dtype=np.int64)
-        table[below] = rows
+        rows = np.mod((rows.astype(exact) @ q.T.astype(exact)).astype(np.int64), p)
     label = f"{op}({a.label},{b.label})" if a.label and b.label else ""
-    return ProductResult(from_kappa(p, table, label), a, b)
+    return ProductResult(GroupPresentation(p, n, rows.shape[1], rows, label), a, b)
 
 
 def direct_product(a: GroupPresentation, b: GroupPresentation) -> ProductResult:

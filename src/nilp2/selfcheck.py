@@ -80,15 +80,12 @@ def random_presentation(rng: random.Random, p: int, max_n: int = 3) -> GroupPres
     """Random valid presentation with 1..max_n generators (seeded, hence
     deterministic)."""
     n = rng.randint(1, max_n)
-    pair_count = n * (n - 1) // 2
-    m = rng.randint(0, pair_count)
-    pairs = [(j, i) for j in range(2, n + 1) for i in range(1, j)]
+    rows = n * (n - 1) // 2
+    m = rng.randint(0, rows)
     while True:
-        c = {}
-        for pair in pairs:
-            c[pair] = tuple(rng.randrange(p) for _ in range(m))
+        pairs = np.array([rng.randrange(p) for _ in range(rows * m)], dtype=np.int64).reshape(rows, m)
         try:
-            return GroupPresentation(p, n, m, c)
+            return GroupPresentation(p, n, m, pairs)
         except SpanDeficit:
             continue
 
@@ -406,11 +403,7 @@ def check_cross_module_identity() -> CriterionResult:
     ident = center_line_identification(heis, heis)
     product = central_product_identified(heis, heis, ident).group
     expected = extraspecial_p5(3)
-    ok = (
-        product == expected
-        and (product.p, product.n, product.m) == (expected.p, expected.n, expected.m)
-        and product.c_items == expected.c_items
-    )
+    ok = product == expected
     return CriterionResult(9, "cross_module_identity", ok, "presentations differ" if not ok else "")
 
 

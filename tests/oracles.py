@@ -3,8 +3,9 @@ by coset growth, injectivity by a kernel scan, map composition by applying
 one map to the other's generator images, the Jacobi relation vector of one
 triple, the Jacobi criterion by one elimination of the dense Jacobi
 matrix, on the group as given or after the radical split, the elements
-behind element-table indices, and the four products built
-commutator by commutator through a stage presentation."""
+behind element-table indices, the four products built
+commutator by commutator through a stage presentation, and a
+presentation's two tables scattered from its (j, i) tuples."""
 
 import itertools
 import math
@@ -221,3 +222,15 @@ def reference_product(kind: str, a: GroupPresentation, b: GroupPresentation, ide
     m, c = _coproduct_c(a, b)
     stage = GroupPresentation(a.p, a.n + b.n, m, c)
     return _quotient(stage, _glue(a, b, ident, m), _pair_label(f"amalg{ident.size}", a, b))
+
+
+def reference_tables(group: GroupPresentation):
+    """(kappa_table, delta_table) built from the tuples of ``c_items``, as
+    presentations built them before they held their pairing rows."""
+    n, m, p = group.n, group.m, group.p
+    kap = np.zeros((n, n, m), dtype=np.int64)
+    keys = np.array([key for key, _ in group.c_items], dtype=np.intp).reshape(-1, 2) - 1
+    vectors = np.array([vec for _, vec in group.c_items], dtype=np.int64).reshape(len(keys), m)
+    kap[keys[:, 0], keys[:, 1]] = vectors
+    kap[keys[:, 1], keys[:, 0]] = np.mod(-vectors, p)
+    return kap, np.where(np.tri(n, k=-1, dtype=bool)[:, :, None], kap, 0)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -265,6 +268,49 @@ def test_residue_budget_is_an_engine_error(tmp_path, capsys, monkeypatch):
     assert "exceeds RESIDUE_CELL_LIMIT = 71" in _one_error_line(captured.err)
     monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 72)
     assert main(["capable", path]) == 0
+
+
+@pytest.mark.parametrize("command", ["inspect", "capable"])
+def test_tables_above_the_cell_budget_are_an_engine_error(tmp_path, capsys, command):
+    # Its (n, n, m) tables would take 298 GiB.
+    path = write(tmp_path, "big.grp", "nilp2 v1\np 3\nn 200000\nm 1\nc 2 1 1\n")
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = _one_error_line(captured.err)
+    assert "pairing table of 200000 x 200000 x 1 = 40000000000 cells exceeds RESIDUE_CELL_LIMIT" in line
+
+
+def test_center_basis_above_the_cell_budget_is_an_engine_error(tmp_path, capsys):
+    path = write(tmp_path, "wide.grp", "nilp2 v1\np 3\nn 200000\nm 0\n")
+    assert main(["inspect", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "center basis of 200000 x 200000" in _one_error_line(captured.err)
+    assert main(["decompose", path]) == 2
+    assert "hyperplane basis of 200000 x 200000" in _one_error_line(capsys.readouterr().err)
+    # Baer's rule allocates nothing, and neither does an abelian product.
+    assert main(["capable", path]) == 0
+    assert "verdict = capable\nmethod = baer_abelian\nn = 200000\n" in capsys.readouterr().out
+    out_path = tmp_path / "wider.grp"
+    assert main(["product", "--kind", "direct", path, path, "-o", str(out_path)]) == 0
+    assert out_path.read_text(encoding="utf-8") == "nilp2 v1\np 3\nn 400000\nm 0\n"
+
+
+def test_tables_within_the_cell_budget_are_built(tmp_path, capsys):
+    path = write(tmp_path, "tall.grp", "nilp2 v1\np 3\nn 3000\nm 1\nc 2 1 1\n")
+    assert main(["capable", path]) == 0
+    assert "n = 3000\nm = 1\n" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_the_selftest_battery_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fplinalg.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, nilp2.cli; print(sorted(m for m in sys.modules if m.startswith('nilp2.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert "'nilp2.cli'" in proc.stdout
+    assert "nilp2.selfcheck" not in proc.stdout
 
 
 def test_undecodable_input_file_is_an_input_error(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilp2.constructions import extraspecial_p5, heisenberg
 from nilp2.errors import (
+    AmbientMismatch,
     BadIndex,
     EntryOutOfRange,
     InconsistentMap,
@@ -13,8 +14,10 @@ from nilp2.errors import (
     NotOddPrime,
     OrderExceedsCap,
     PresentationMismatch,
+    ResidueTooLarge,
     SpanDeficit,
 )
+from nilp2 import fplinalg
 from nilp2.fplinalg import Subspace, solve_matrix
 from nilp2.group_core import (
     GroupPresentation,
@@ -24,6 +27,7 @@ from nilp2.group_core import (
     cyclic,
     elementary_abelian,
     enumerate_subgroups,
+    from_kappa,
     hom_from_images,
     inverse,
     is_monomorphism,
@@ -34,7 +38,7 @@ from nilp2.group_core import (
 from nilp2 import group_core
 from nilp2.products import direct_product
 from nilp2.selfcheck import random_presentation, rebase
-from oracles import brute_force_mono, compose, decode
+from oracles import brute_force_mono, compose, decode, reference_tables
 from test_capability import _random_invertible
 
 BATTERY = [
@@ -101,6 +105,61 @@ def test_presentation_equality_ignores_label():
     a = GroupPresentation(3, 2, 1, {(2, 1): (1,)})
     assert a == heisenberg(3)
     assert hash(a) == hash(heisenberg(3))
+
+
+def test_validate_repeated_commutator():
+    # (2, 1) and ('2', '1') are distinct keys of one commutator.
+    with pytest.raises(BadIndex, match=r"\(2, 1\) is given twice"):
+        GroupPresentation(3, 3, 1, {(2, 1): (1,), ("2", "1"): (2,)})
+
+
+def test_pairing_rows_are_the_tril_order():
+    g = GroupPresentation(5, 4, 3, {(2, 1): (1, 0, 0), (4, 2): (0, 1, 0), (4, 3): (0, 2, 1)})
+    j, i = np.tril_indices(4, -1)
+    assert [(int(a) + 1, int(b) + 1) for a, b in zip(j, i)] == [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
+    assert g.pairs.tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 2, 1]]
+    assert not g.pairs.flags.writeable
+    assert g.c_items == (((2, 1), (1, 0, 0)), ((4, 2), (0, 1, 0)), ((4, 3), (0, 2, 1)))
+
+
+def test_validate_array_input():
+    rows = np.array([[1], [0], [2]], dtype=np.int64)
+    assert GroupPresentation(3, 3, 1, rows) == GroupPresentation(3, 3, 1, {(2, 1): (1,), (3, 2): (2,)})
+    with pytest.raises(AmbientMismatch, match=r"shape \(3, 2\), expected \(3, 1\)"):
+        GroupPresentation(3, 3, 1, np.zeros((3, 2), dtype=np.int64))
+    # The first bad entry in row order is named, by its commutator.
+    bad = np.array([[1, 0], [0, 1], [3, -1]], dtype=np.int64)
+    with pytest.raises(EntryOutOfRange, match=r"entry 3 for commutator \(3, 2\)"):
+        GroupPresentation(3, 3, 2, bad)
+    with pytest.raises(SpanDeficit):
+        GroupPresentation(3, 3, 2, np.array([[1, 0], [2, 0], [0, 0]], dtype=np.int64))
+
+
+def test_tables_and_center_are_refused_above_the_cell_budget(monkeypatch):
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 4 * 4 * 2)
+    GroupPresentation(3, 4, 2, {(2, 1): (1, 0), (4, 3): (0, 1)})
+    with pytest.raises(ResidueTooLarge, match="pairing table of 4 x 4 x 3 = 48 cells"):
+        GroupPresentation(3, 4, 3, {(2, 1): (1, 0, 0), (4, 3): (0, 1, 0), (3, 1): (0, 0, 1)})
+    assert center(elementary_abelian(3, 5)).radical.dim == 5
+    with pytest.raises(ResidueTooLarge, match="center basis of 6 x 6 = 36 cells"):
+        center(elementary_abelian(3, 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([3, 5, 7]), rebased=st.booleans())
+def test_array_and_mapping_forms_agree(seed, p, rebased):
+    rng = random.Random(seed)
+    g = random_presentation(rng, p, max_n=6)
+    if rebased:
+        g = rebase(g, _random_invertible(rng, p, g.n))
+    kap, delta = reference_tables(g)
+    for h in (from_kappa(p, g.kappa_table()), GroupPresentation(p, g.n, g.m, g.c)):
+        assert h == g and hash(h) == hash(g) and h.c_items == g.c_items
+        assert np.array_equal(h.kappa_table(), kap) and np.array_equal(h.delta_table(), delta)
+    assert np.array_equal(g.kappa_table(), kap) and np.array_equal(g.delta_table(), delta)
+    # c_items holds exactly the nonzero rows, in row order.
+    rows = [(j, i) for j in range(2, g.n + 1) for i in range(1, j)]
+    assert g.c_items == tuple((key, tuple(row)) for key, row in zip(rows, g.pairs.tolist()) if any(row))
 
 
 # -- element arithmetic ---------------------------------------------------------
