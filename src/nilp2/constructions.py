@@ -65,13 +65,9 @@ def extraspecial_p5(p: int) -> GroupPresentation:
 
 
 def _monic(vec, p: int) -> tuple:
-    """Scale so that the first nonzero entry is 1 (echelon basis of the line)."""
-    vals = [int(x) % p for x in vec]
-    for x in vals:
-        if x:
-            inv = pow(x, -1, p)
-            return tuple((inv * y) % p for y in vals)
-    raise Nilp2Error("cannot normalize the zero vector")
+    """The echelon basis vector of the line through the nonzero vector vec:
+    vec scaled so that its first nonzero entry is 1."""
+    return Subspace(p, len(vec), [vec]).basis_tuples()[0]
 
 
 def _image_line(hom: GeneratorMap, vec: tuple, p: int) -> tuple:
@@ -219,7 +215,7 @@ def verify_extension(report: ExtensionReport) -> VerificationOutcome:
         checks.append((name, bool(ok), detail))
 
     def check_valid(group):
-        return GroupPresentation(group.p, group.n, group.m, group.c) == group, ""
+        return GroupPresentation(group.p, group.n, group.m, group.pairs) == group, ""
 
     def check_endpoints():
         ok = (

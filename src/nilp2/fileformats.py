@@ -1,7 +1,7 @@
 """Line-based text formats for groups, identifications, and generator maps.
 
-All three formats are whitespace-separated integers so certificates stay
-human-diffable; `#` starts a comment anywhere.  Writers emit canonical
+All three formats are whitespace-separated ASCII integers, [+-]?[0-9]+, so
+certificates stay human-diffable; `#` starts a comment anywhere.  Writers emit canonical
 form (sorted nonzero commutators, no trailing whitespace), so writing and
 re-parsing is the identity on the underlying objects.  The module holds
 only the text codecs, ``parse_*_text`` and ``format_*``; the CLI reads and
@@ -45,10 +45,10 @@ def _content_lines(text: str):
 
 
 def _int_token(token: str, line_no: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(line_no, f"expected an integer, got {token!r}") from None
+    digits = token[1:] if token[:1] in "+-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(line_no, f"expected an integer, got {token!r}")
+    return int(token)
 
 
 def _entry_tokens(tokens, count, p, line_no):

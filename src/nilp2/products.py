@@ -73,11 +73,10 @@ class Identification:
                         f"{side} vector has {len(vec)} entries, derived dimension is {m}"
                     )
         for side, vectors, m in sides:
-            if vectors:
-                arr = np.array(vectors, dtype=np.int64).reshape(len(vectors), m)
-                _, pivots = rref(arr, self.source.p)
-                if len(pivots) != len(vectors):
-                    raise InvalidIdentification(f"{side} vectors are linearly dependent")
+            arr = np.array(vectors, dtype=np.int64).reshape(len(vectors), m)
+            _, pivots = rref(arr, self.source.p)
+            if len(pivots) != len(vectors):
+                raise InvalidIdentification(f"{side} vectors are linearly dependent")
 
     @property
     def size(self) -> int:

@@ -67,6 +67,38 @@ def test_parse_even_prime():
         parse_group_text("nilp2 v1\np 2\nn 1\nm 0\n")
 
 
+NON_ASCII_INTEGER_TOKENS = ["1_1", "٢", "١", "３", "²", "+-1", "+", "-"]
+
+
+@pytest.mark.parametrize("token", NON_ASCII_INTEGER_TOKENS)
+def test_parse_accepts_only_ascii_integers(token):
+    h3_c3 = direct_product(heisenberg(3), cyclic(3)).group
+    texts = [
+        (parse_group_text, f"nilp2 v1\np {token}\nn 2\nm 1\nc 2 1 1\n"),
+        (parse_group_text, f"nilp2 v1\np 3\nn {token}\nm 1\nc 2 1 1\n"),
+        (parse_group_text, f"nilp2 v1\np 3\nn 2\nm 1\nc 2 1 {token}\n"),
+        (lambda t: parse_identification_text(t, heisenberg(3), heisenberg(3)), f"id {token} -> 1\n"),
+        (lambda t: parse_generator_map_text(t, heisenberg(3), h3_c3), f"gen {token} -> 1 0 0 | 0\ngen 2 -> 0 1 0 | 0\n"),
+        (lambda t: parse_generator_map_text(t, heisenberg(3), h3_c3), f"gen 1 -> 1 0 0 | 0\ngen 2 -> 0 {token} 0 | 0\n"),
+    ]
+    for parse, text in texts:
+        with pytest.raises(ParseError, match="expected an integer"):
+            parse(text)
+
+
+def test_parse_signed_ascii_integers():
+    assert parse_group_text("nilp2 v1\np +3\nn 02\nm 1\nc +2 1 1\n") == heisenberg(3)
+
+
+def test_non_ascii_integers_are_an_input_error(tmp_path, capsys):
+    # int() reads this file as p = 11, n = 2 and c(2, 1) = 1.
+    path = write(tmp_path, "g.grp", "nilp2 v1\np 1_1\nn ٢\nm 1\nc 2 1 ١\n")
+    assert main(["capable", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected an integer, got '1_1'" in _one_error_line(captured.err)
+
+
 def test_parse_header_order_enforced():
     with pytest.raises(ParseError):
         parse_group_text("nilp2 v1\nn 2\np 3\nm 1\nc 2 1 1\n")

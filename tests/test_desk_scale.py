@@ -199,6 +199,13 @@ def test_search_matches_pair_loop_on_rebased_presentations(group, seed):
     _assert_same_search(rebase(group, _random_invertible(rng, group.p, group.n)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(group=desk_presentations())
+def test_search_matches_pair_loop_on_random_presentations(group):
+    assert group.order <= 243
+    _assert_same_search(group)
+
+
 # -- central decompositions from Sym(kappa) ---------------------------------------
 
 

@@ -23,7 +23,7 @@ from nilp2.selfcheck import random_identification, random_presentation
 TOKENS = (
     ["nilp2", "v1", "nilp2 v1", "p", "n", "m", "c", "id", "gen", "->", "|", "#", "x", "1.5", "+1", "-", "0x3"]
     + [str(k) for k in range(-3, 13)]
-    + ["65537", "2147483647", "10000000000000000000"]
+    + ["65537", "2147483647", "10000000000000000000", "1_1", "٢", "١", "３", "²", "+-1", "+"]
 )
 SEPARATORS = [" ", " ", " ", "\n", "\n", "\t", "\r\n", ""]
 
