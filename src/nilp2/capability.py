@@ -70,9 +70,9 @@ from .fplinalg import (
 from .group_core import (
     GroupPresentation,
     Subgroup,
+    _bracket_span,
     _kappa,
     _subgroup_table,
-    bracket_span,
     center,
     from_kappa,
 )
@@ -401,7 +401,7 @@ def central_decomposition(group: GroupPresentation) -> DecompositionVerdict:
     if e is None:
         return DecompositionVerdict("none", sym_dim=dim)
     u, w = Subspace(p, n, e.T), Subspace(p, n, (np.eye(n, dtype=np.int64) - e).T)
-    overlap = bracket_span(group, u.basis).intersect(bracket_span(group, w.basis)).dim
+    overlap = _bracket_span(group, u.basis).intersect(_bracket_span(group, w.basis)).dim
     return _found(group, u, w, overlap, dim)
 
 

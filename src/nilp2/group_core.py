@@ -73,7 +73,6 @@ __all__ = [
     "GroupPresentation",
     "MonoResult",
     "Subgroup",
-    "bracket_span",
     "center",
     "commutator",
     "elementary_abelian",
@@ -399,7 +398,7 @@ def center(group: GroupPresentation) -> CenterInfo:
     return group._center
 
 
-def bracket_span(group: GroupPresentation, vectors: np.ndarray) -> Subspace:
+def _bracket_span(group: GroupPresentation, vectors: np.ndarray) -> Subspace:
     """kappa(U, U) for the span U of the rows of vectors, shape (k, n)."""
     rows = _kappa(group, vectors, vectors)[np.triu_indices(len(vectors), 1)]
     return Subspace(group.p, group.m, rows)
@@ -637,7 +636,7 @@ class Subgroup:
         """Span of the commutators of the stored generators."""
         g = self.group
         indices = np.array(self.generator_indices, dtype=np.int64).reshape(-1, 1)
-        return bracket_span(g, indices // _weights(g)[: g.n] % g.p)
+        return _bracket_span(g, indices // _weights(g)[: g.n] % g.p)
 
 
 def _subgroup_table(group: GroupPresentation) -> list:

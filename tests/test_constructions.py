@@ -7,6 +7,7 @@ import pytest
 from nilp2.capability import central_decomposition, epicentre_in_derived, rp_membership
 from nilp2.constructions import (
     _least_nonzero_commutator,
+    _monic,
     build_capable_extension,
     build_noncapable_extension,
     extraspecial_p5,
@@ -19,6 +20,12 @@ from nilp2.group_core import GroupPresentation, cyclic, elementary_abelian, hom_
 from nilp2.products import Identification, central_product_identified, direct_product, nilpotent2_product
 from nilp2.selfcheck import _battery_p3, random_presentation, rebase
 from oracles import assert_same_map, compose
+
+
+@pytest.mark.parametrize("vec, p, line", [((0, 2, 1), 3, (0, 1, 2)), ((4, 0, 3), 5, (1, 0, 2)), ((0, 0, 1), 7, (0, 0, 1))])
+def test_monic_scales_the_first_nonzero_entry_to_one(vec, p, line):
+    assert _monic(vec, p) == line
+    assert _monic(np.array(vec, dtype=np.int64), p) == line
 
 
 def test_heisenberg_builder():

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nilp2.constructions import extraspecial_p5, heisenberg
 from nilp2.errors import (
@@ -511,3 +511,19 @@ def test_order_by_exhaustive_closure():
 
     for g in BATTERY:
         assert _closure_size(g) == g.order
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([3, 5]), n=st.integers(1, 4), k=st.integers(0, 3))
+def test_bracket_span_is_the_span_of_all_commutators(seed, p, n, k):
+    rng = random.Random(seed)
+    rows = n * (n - 1) // 2
+    m = rng.randint(0, rows)
+    try:
+        g = GroupPresentation(p, n, m, np.array([rng.randrange(p) for _ in range(rows * m)]).reshape(rows, m))
+    except SpanDeficit:
+        assume(False)
+    vectors = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(k)], dtype=np.int64).reshape(k, n)
+    span = [g.element(v, (0,) * m) for v in fplinalg.all_vectors(p, k) @ vectors % p]
+    brackets = [commutator(a, b).w for a in span for b in span]
+    assert group_core._bracket_span(g, vectors) == Subspace(p, m, brackets)
