@@ -1,11 +1,11 @@
 """Line-based text formats for groups, identifications, and generator maps.
 
-All three formats are whitespace-separated ASCII integers, [+-]?[0-9]+, so
-certificates stay human-diffable; `#` starts a comment anywhere.  Writers emit canonical
-form (sorted nonzero commutators, no trailing whitespace), so writing and
-re-parsing is the identity on the underlying objects.  The module holds
-only the text codecs, ``parse_*_text`` and ``format_*``; the CLI reads and
-writes the files.
+All three formats are whitespace-separated ASCII integers [+-]?[0-9]+ so
+certificates stay human-diffable; `#` starts a comment anywhere.  Writers
+emit canonical form (sorted nonzero commutators, no trailing whitespace),
+so writing and re-parsing is the identity on the underlying objects.  The
+module holds only the text codecs, ``parse_*_text`` and ``format_*``; the
+CLI reads and writes the files.
 
 Group file:            Identification file:        Map file:
     nilp2 v1               id <vA..> -> <vB..>         gen <k> -> <v..> | <w..>
