@@ -243,6 +243,13 @@ def central_decomposition_search(group: GroupPresentation) -> DecompositionSearc
     cent = np.ones((lefts, len(vs)), dtype=bool)
     for k in range(width):
         cent &= commutes[gens[:lefts, k]]
+
+    def side(k):
+        """Subgroup k and the span of its generators' brackets, to which
+        the padding's v = 0 adds nothing."""
+        elements, generators = np.flatnonzero(members[k]).tolist(), indices[k, : counts[k]].tolist()
+        return Subgroup(group, frozenset(elements), tuple(generators)), _bracket_span(group, vs[gens[k]])
+
     # orders is nonincreasing, so -orders is sorted for searchsorted.
     descending = -orders
     for ci in range(lefts):
@@ -252,14 +259,9 @@ def central_decomposition_search(group: GroupPresentation) -> DecompositionSearc
         sizes = orders[commuting]
         hits = commuting[(orders[ci] * sizes == total * meet) & (meet != orders[ci]) & (meet != sizes)]
         if hits.size:
-            left, right = (
-                Subgroup(
-                    group, frozenset(np.flatnonzero(members[k]).tolist()), tuple(indices[k, : counts[k]].tolist())
-                )
-                for k in (ci, int(hits[0]))
-            )
-            overlap = left.derived_subspace().intersect(right.derived_subspace()).dim
-            return DecompositionSearch("witness", CentralDecomposition(left, right, overlap), len(orders))
+            (left, u), (right, w) = side(ci), side(int(hits[0]))
+            witness = CentralDecomposition(left, right, u.intersect(w).dim)
+            return DecompositionSearch("witness", witness, len(orders))
     return DecompositionSearch("none", None, len(orders))
 
 

@@ -64,24 +64,19 @@ def extraspecial_p5(p: int) -> GroupPresentation:
     )
 
 
-def _monic(vec, p: int) -> tuple:
-    """The echelon basis vector of the line through the nonzero vector vec:
-    vec scaled so that its first nonzero entry is 1."""
-    return Subspace(p, len(vec), [vec]).basis_tuples()[0]
-
-
 def _image_line(hom: GeneratorMap, vec: tuple, p: int) -> tuple:
-    """Monic image of the derived vector vec under hom."""
-    return _monic(np.mod(hom.commutator_matrix @ np.array(vec, dtype=np.int64), p), p)
+    """The image of the derived vector vec under hom, as the echelon basis
+    vector of its line: scaled so that its first nonzero entry is 1."""
+    return Subspace(p, hom.codomain.m, [hom.commutator_matrix @ np.asarray(vec)]).basis_tuples()[0]
 
 
 def _least_nonzero_commutator(group: GroupPresentation) -> tuple:
     """Deterministic nontrivial derived element: the commutator vector of
-    the lexicographically least nonzero pair, normalized monic."""
+    the lexicographically least nonzero pair, scaled to a leading 1."""
     nonzero = np.flatnonzero(group.pairs.any(axis=1))
     if not nonzero.size:
         raise Nilp2Error("presentation has no nonzero commutators")
-    return _monic(group.pairs[nonzero[0]], group.p)
+    return Subspace(group.p, group.m, group.pairs[nonzero[:1]]).basis_tuples()[0]
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,13 @@ def _content_lines(text: str):
 
 
 def _int_token(token: str, line_no: int) -> int:
-    digits = token[1:] if token[:1] in "+-" else token
-    if not (digits.isascii() and digits.isdigit()):
-        raise ParseError(line_no, f"expected an integer, got {token!r}")
-    return int(token)
+    # Without "_" and non-ASCII digits, int() of a split() token is [+-]?[0-9]+.
+    try:
+        if token.isascii() and "_" not in token:
+            return int(token)
+    except ValueError:
+        pass
+    raise ParseError(line_no, f"expected an integer, got {token!r}")
 
 
 def _entry_tokens(tokens, count, p, line_no):

@@ -245,7 +245,7 @@ def rref(a: np.ndarray, p: int):
         raise AmbientMismatch("matrix data must be two-dimensional")
     rows, cols = a.shape
     # Kept: on one row the general path takes 14-26 us against 4-9, and a
-    # pass of the three benchmark workloads makes 284, 679 and 110 such calls.
+    # pass of the three benchmark workloads makes 163, 464 and 92 such calls.
     if rows <= 1 or cols == 0:
         r = np.mod(a, p)
         nonzero = r.nonzero()[1]
@@ -299,7 +299,12 @@ def _null_rows(r: np.ndarray, pivots, cols: int, p: int, order="C") -> np.ndarra
 def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     """Reduced echelon basis (rows) of the right null space of a mod p."""
     r, pivots = rref(a, p)
-    return rref(_null_rows(r, pivots, r.shape[1], p), p)[0]
+    cols = r.shape[1]
+    # Kept: the general path adds 12-18 us per full-rank call, and a pass
+    # of extend_verify makes 215 of them, of epicentre_ladder 121.
+    if len(pivots) == cols:
+        return np.zeros((0, cols), dtype=np.int64)
+    return rref(_null_rows(r, pivots, cols, p), p)[0]
 
 
 # Cells of a dense array sized from the input, such as the residue that

@@ -632,12 +632,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.element_indices)
 
-    def derived_subspace(self) -> Subspace:
-        """Span of the commutators of the stored generators."""
-        g = self.group
-        indices = np.array(self.generator_indices, dtype=np.int64).reshape(-1, 1)
-        return _bracket_span(g, indices // _weights(g)[: g.n] % g.p)
-
 
 def _subgroup_table(group: GroupPresentation) -> list:
     """Every subgroup of a small group: per order p^d, d = 0 .. n + m, its

@@ -6,8 +6,8 @@ import pytest
 
 from nilp2.capability import central_decomposition, epicentre_in_derived, rp_membership
 from nilp2.constructions import (
+    _image_line,
     _least_nonzero_commutator,
-    _monic,
     build_capable_extension,
     build_noncapable_extension,
     extraspecial_p5,
@@ -22,10 +22,10 @@ from nilp2.selfcheck import _battery_p3, random_presentation, rebase
 from oracles import assert_same_map, compose
 
 
-@pytest.mark.parametrize("vec, p, line", [((0, 2, 1), 3, (0, 1, 2)), ((4, 0, 3), 5, (1, 0, 2)), ((0, 0, 1), 7, (0, 0, 1))])
-def test_monic_scales_the_first_nonzero_entry_to_one(vec, p, line):
-    assert _monic(vec, p) == line
-    assert _monic(np.array(vec, dtype=np.int64), p) == line
+def test_glued_lines_are_scaled_to_a_leading_one():
+    g = GroupPresentation(5, 3, 2, {(2, 1): (0, 3), (3, 1): (4, 2)})
+    assert _least_nonzero_commutator(g) == (0, 1)
+    assert _image_line(hom_from_images(g, g, g.generators()), (4, 2), 5) == (1, 3)
 
 
 def test_heisenberg_builder():

@@ -142,6 +142,12 @@ def test_subgroup_count_of_heisenberg(p):
 # -- decomposition search -------------------------------------------------------
 
 
+def _derived_span(group, sub):
+    """The span of the commutators of a subgroup's generators."""
+    gens = decode(group, sub.generator_indices)
+    return Subspace(group.p, group.m, [commutator(g, h).w for g in gens for h in gens])
+
+
 def reference_search(group):
     """The decomposition search as a loop over pairs of subgroups: generator
     commutators, then the order equation, then containment.  Returns
@@ -167,7 +173,7 @@ def reference_search(group):
                 continue
             if right.element_indices <= left.element_indices or left.element_indices <= right.element_indices:
                 continue
-            overlap = left.derived_subspace().intersect(right.derived_subspace()).dim
+            overlap = _derived_span(group, left).intersect(_derived_span(group, right)).dim
             return ("witness", len(subs), left, right, overlap)
     return ("none", len(subs), None, None, None)
 
