@@ -245,10 +245,9 @@ def central_decomposition_search(group: GroupPresentation) -> DecompositionSearc
         cent &= commutes[gens[:lefts, k]]
 
     def side(k):
-        """Subgroup k and the span of its generators' brackets, to which
-        the padding's v = 0 adds nothing."""
-        elements, generators = np.flatnonzero(members[k]).tolist(), indices[k, : counts[k]].tolist()
-        return Subgroup(group, frozenset(elements), tuple(generators)), _bracket_span(group, vs[gens[k]])
+        """Subgroup k and the span of its generators' brackets."""
+        elems, own = frozenset(np.flatnonzero(members[k]).tolist()), slice(counts[k])
+        return Subgroup(group, elems, tuple(indices[k, own].tolist())), _bracket_span(group, vs[gens[k, own]])
 
     # orders is nonincreasing, so -orders is sorted for searchsorted.
     descending = -orders
