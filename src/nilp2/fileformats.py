@@ -46,11 +46,11 @@ def _content_lines(text: str):
 
 def _int_token(token: str, line_no: int) -> int:
     # Without "_" and non-ASCII digits, int() of a split() token is [+-]?[0-9]+.
-    try:
-        if token.isascii() and "_" not in token:
+    if token.isascii() and "_" not in token:
+        try:
             return int(token)
-    except ValueError:
-        pass
+        except ValueError:
+            pass
     raise ParseError(line_no, f"expected an integer, got {token!r}")
 
 
