@@ -65,8 +65,7 @@ def extraspecial_p5(p: int) -> GroupPresentation:
 
 
 def _image_line(hom: GeneratorMap, vec: tuple, p: int) -> tuple:
-    """The image of the derived vector vec under hom, as the echelon basis
-    vector of its line: scaled so that its first nonzero entry is 1."""
+    """The image of the derived vector vec under hom, scaled to a leading 1."""
     return Subspace(p, hom.codomain.m, [hom.commutator_matrix @ np.asarray(vec)]).basis_tuples()[0]
 
 

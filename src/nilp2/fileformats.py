@@ -35,23 +35,25 @@ GROUP_MAGIC = "nilp2 v1"
 
 
 def _content_lines(text: str):
-    """(line_no, stripped content) for nonblank, noncomment lines."""
+    """(line_no, stripped content) for nonblank, noncomment lines.  Tokens
+    are ASCII without "_", so that int() takes exactly [+-]?[0-9]+."""
     out = []
     for line_no, raw in enumerate(text.splitlines(), 1):
         stripped = raw.split("#", 1)[0].strip()
+        if not stripped.isascii() or "_" in stripped:
+            for token in stripped.split():
+                if not token.isascii() or "_" in token:
+                    raise ParseError(line_no, f"expected an ASCII integer or keyword, got {token!r}")
         if stripped:
             out.append((line_no, stripped))
     return out
 
 
 def _int_token(token: str, line_no: int) -> int:
-    # Without "_" and non-ASCII digits, int() of a split() token is [+-]?[0-9]+.
-    if token.isascii() and "_" not in token:
-        try:
-            return int(token)
-        except ValueError:
-            pass
-    raise ParseError(line_no, f"expected an integer, got {token!r}")
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(line_no, f"expected an integer, got {token!r}") from None
 
 
 def _entry_tokens(tokens, count, p, line_no):

@@ -244,8 +244,7 @@ def rref(a: np.ndarray, p: int):
     if a.ndim != 2:
         raise AmbientMismatch("matrix data must be two-dimensional")
     rows, cols = a.shape
-    # Kept: on one row the general path takes 14-26 us against 4-9, and a
-    # pass of the three benchmark workloads makes 163, 464 and 92 such calls.
+    # Kept: on one row the general path takes 14-26 us, not 4-9; 163/464/92 calls per pass.
     if rows <= 1 or cols == 0:
         r = np.mod(a, p)
         nonzero = r.nonzero()[1]
@@ -291,8 +290,9 @@ def _null_rows(r: np.ndarray, pivots, cols: int, p: int, order="C") -> np.ndarra
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
     out = np.zeros((len(free), cols), dtype=np.int64, order=order)
-    out[np.arange(len(free)), free] = 1
-    out[:, list(pivots)] = np.mod(-r[: len(pivots)][:, free].T, p)
+    if free:  # kept: the empty assignments cost 8 us on 55/32/16 calls per pass
+        out[np.arange(len(free)), free] = 1
+        out[:, list(pivots)] = np.mod(-r[: len(pivots)][:, free].T, p)
     return out
 
 
@@ -300,8 +300,7 @@ def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     """Reduced echelon basis (rows) of the right null space of a mod p."""
     r, pivots = rref(a, p)
     cols = r.shape[1]
-    # Kept: the general path adds 12-18 us per full-rank call, and a pass
-    # of extend_verify makes 215 of them, of epicentre_ladder 121.
+    # Kept: the general path adds 12-18 us to 121/215/18 full-rank calls per pass.
     if len(pivots) == cols:
         return np.zeros((0, cols), dtype=np.int64)
     return rref(_null_rows(r, pivots, cols, p), p)[0]
@@ -344,10 +343,9 @@ def kernel_of_entries(rows, cols, vals, shape, p: int) -> np.ndarray:
     never live.  When no round takes a row, or the matrix has at most
     _PEEL_MIN_CELLS cells and is not peeled, the residue is the rows with
     entries over all columns, and the basis is ``_null_rows`` of its
-    reduced form.  That return stays apart from the back-substitution,
-    which would hold a C-order copy of the null rows beside the F-order
-    basis: on the dense kappa of ``epicentre_ladder``, which never peels,
-    the benchmark's peak RSS read 48.1 MB without it against 44.6-44.9 MB.
+    reduced form.  Without that return the back-substitution would hold a
+    C-order copy of the null rows beside the F-order basis: 48.1 MB against
+    44.6-44.9 MB of peak RSS on ``epicentre_ladder``, which never peels.
 
     The basis holds one vector per free column f, in increasing order: a
     column that is no peeled or residue pivot.  It is 1 at f, the residue's
