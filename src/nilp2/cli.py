@@ -4,9 +4,10 @@ Exit codes: 0 a verdict was computed, 1 usage error, 2 an input that fails
 validation or cannot be read, decoded or parsed, an output that cannot
 be written, or a dense array (a group's tables, an epicentre's Jacobi
 residue) above ``fplinalg.RESIDUE_CELL_LIMIT`` = 2^24 cells, refused with
-``ResidueTooLarge`` before it is allocated, 3 verification failure.  Every error is one `error:` line on
-stderr, after the usage when argparse rejects the arguments.  Reports are
-`key = value` lines in a fixed key order so identical inputs produce
+``ResidueTooLarge`` before it is allocated, 3 verification failure.  Every
+error is one `error:` line on stderr, after the usage when argparse rejects
+the arguments.  Each command fixes its key order in one dict, which one
+writer prints as `key = value` lines, so identical inputs produce
 byte-identical output; subspace bases print as echelon rows joined by
 commas.  Input files are read whole and parsed by the text codecs of
 ``fileformats``; output files are formatted first, then written.  No
@@ -18,6 +19,7 @@ Sym(kappa) is too large to enumerate.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .capability import (
@@ -43,23 +45,6 @@ from .products import (
     nilpotent2_product,
 )
 
-REPORT_KEYS = (
-    "verdict",
-    "method",
-    "epicentre_dim",
-    "epicentre_basis",
-    "n",
-    "m",
-    "order_exp",
-    "rp_status",
-    "rp_reasons",
-    "bound_claimed",
-    "bound_actual",
-    "bound_ok",
-    "embedding_ok",
-)
-
-
 class _UsageError(Exception):
     pass
 
@@ -79,9 +64,20 @@ def _basis_text(rows) -> str:
     return ",".join(" ".join(str(x) for x in row) for row in rows)
 
 
-def format_report(values: dict) -> str:
-    lines = [f"{key} = {values[key]}" for key in REPORT_KEYS if key in values]
-    return "\n".join(lines) + "\n"
+def _shape(g) -> dict:
+    return {"n": g.n, "m": g.m, "order_exp": g.order_exp}
+
+
+def _rp(verdict) -> dict:
+    return {"rp_status": verdict.status, "rp_reasons": ";".join(verdict.reasons)}
+
+
+def _capability(verdict) -> dict:
+    values = {"verdict": verdict.status, "method": verdict.method}
+    if "epicentre_dim" in verdict.evidence:
+        values["epicentre_dim"] = verdict.evidence["epicentre_dim"]
+        values["epicentre_basis"] = _basis_text(verdict.evidence["epicentre_basis"])
+    return values
 
 
 def _read(path) -> str:
@@ -94,7 +90,9 @@ def _write(path, text: str):
         fh.write(text)
 
 
-def _emit(text: str, report_path=None):
+def _emit(values: dict, report_path=None):
+    """Print a report as `key = value` lines in the dict's order."""
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
     sys.stdout.write(text)
     if report_path:
         _write(report_path, text)
@@ -102,62 +100,32 @@ def _emit(text: str, report_path=None):
 
 def cmd_inspect(args) -> int:
     g = parse_group_text(_read(args.file))
-    info = center(g)
-    lines = [
-        f"p = {g.p}",
-        f"n = {g.n}",
-        f"m = {g.m}",
-        f"order_exp = {g.order_exp}",
-        f"abelian = {_bool_text(g.is_abelian)}",
-        f"center_equals_derived = {_bool_text(info.center_equals_derived)}",
-        f"nonzero_commutators = {len(g.c_items)}",
-    ]
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit({
+        "p": g.p,
+        **_shape(g),
+        "abelian": _bool_text(g.is_abelian),
+        "center_equals_derived": _bool_text(center(g).center_equals_derived),
+        "nonzero_commutators": len(g.c_items),
+    })
     return 0
 
 
 def cmd_capable(args) -> int:
     g = parse_group_text(_read(args.file))
-    verdict = capability_verdict(g)
-    values = {
-        "verdict": verdict.status,
-        "method": verdict.method,
-        "n": g.n,
-        "m": g.m,
-        "order_exp": g.order_exp,
-    }
-    if "epicentre_dim" in verdict.evidence:
-        values["epicentre_dim"] = verdict.evidence["epicentre_dim"]
-        values["epicentre_basis"] = _basis_text(verdict.evidence["epicentre_basis"])
-    _emit(format_report(values))
+    _emit({**_capability(capability_verdict(g)), **_shape(g)})
     return 0
 
 
 def cmd_epicentre(args) -> int:
     g = parse_group_text(_read(args.file))
     epi = epicentre_in_derived(g)
-    values = {
-        "epicentre_dim": epi.dim,
-        "epicentre_basis": _basis_text(epi.basis_tuples()),
-        "n": g.n,
-        "m": g.m,
-        "order_exp": g.order_exp,
-    }
-    _emit(format_report(values))
+    _emit({"epicentre_dim": epi.dim, "epicentre_basis": _basis_text(epi.basis_tuples()), **_shape(g)})
     return 0
 
 
 def cmd_rp_check(args) -> int:
     g = parse_group_text(_read(args.file))
-    verdict = rp_membership(g)
-    values = {
-        "n": g.n,
-        "m": g.m,
-        "order_exp": g.order_exp,
-        "rp_status": verdict.status,
-        "rp_reasons": ";".join(verdict.reasons),
-    }
-    _emit(format_report(values))
+    _emit({**_shape(g), **_rp(rp_membership(g))})
     return 0
 
 
@@ -180,12 +148,7 @@ def cmd_product(args) -> int:
         _write(args.map_a, format_generator_map(result.embed_left))
     if args.map_b:
         _write(args.map_b, format_generator_map(result.embed_right))
-    values = {
-        "n": result.group.n,
-        "m": result.group.m,
-        "order_exp": result.group.order_exp,
-    }
-    _emit(format_report(values))
+    _emit(_shape(result.group))
     return 0
 
 
@@ -198,24 +161,16 @@ def cmd_extend(args) -> int:
     _write(args.output, format_group(report.output_group))
     if args.map:
         _write(args.map, format_generator_map(report.embedding))
-    out = report.output_group
     values = {
-        "verdict": report.capability.status,
-        "method": report.capability.method,
-        "n": out.n,
-        "m": out.m,
-        "order_exp": out.order_exp,
-        "rp_status": report.rp.status,
-        "rp_reasons": ";".join(report.rp.reasons),
+        **_capability(report.capability),
+        **_shape(report.output_group),
+        **_rp(report.rp),
         "bound_claimed": report.rank_bound_claimed,
         "bound_actual": report.rank_bound_actual,
         "bound_ok": _bool_text(report.bound_ok),
         "embedding_ok": _bool_text(report.embedding_mono),
     }
-    if "epicentre_dim" in report.capability.evidence:
-        values["epicentre_dim"] = report.capability.evidence["epicentre_dim"]
-        values["epicentre_basis"] = _basis_text(report.capability.evidence["epicentre_basis"])
-    _emit(format_report(values), args.report)
+    _emit(values, args.report)
     return 0
 
 
@@ -223,26 +178,22 @@ def cmd_verify_embed(args) -> int:
     sub = parse_group_text(_read(args.sub))
     big = parse_group_text(_read(args.big))
     gmap = parse_generator_map_text(_read(args.map), sub, big)
-    if not gmap.consistent:
-        _emit(format_report({"embedding_ok": _bool_text(False)}))
-        return 3
-    mono = is_monomorphism(gmap)
-    ok = mono.status == "mono"
-    _emit(format_report({"embedding_ok": _bool_text(ok)}))
+    ok = gmap.consistent and is_monomorphism(gmap).status == "mono"
+    _emit({"embedding_ok": _bool_text(ok)})
     return 0 if ok else 3
 
 
 def cmd_decompose(args) -> int:
     g = parse_group_text(_read(args.file))
     decomposition = central_decomposition(g)
-    lines = [f"order_exp = {g.order_exp}", f"decomposition = {decomposition.status}"]
+    values = {"order_exp": g.order_exp, "decomposition": decomposition.status}
     if decomposition.status == "found":
-        lines.append(f"witness_left_order = {decomposition.left_order}")
-        lines.append(f"witness_right_order = {decomposition.right_order}")
-        lines.append(f"derived_overlap_dim = {decomposition.derived_overlap_dim}")
+        values["witness_left_order"] = decomposition.left_order
+        values["witness_right_order"] = decomposition.right_order
+        values["derived_overlap_dim"] = decomposition.derived_overlap_dim
     if decomposition.limit is not None:
-        lines.append(f"limit = {decomposition.limit}")
-    sys.stdout.write("\n".join(lines) + "\n")
+        values["limit"] = decomposition.limit
+    _emit(values)
     return 0
 
 
@@ -259,6 +210,7 @@ def cmd_selftest(args) -> int:
     return 3
 
 
+@functools.cache  # built on the first main call, never at import
 def build_parser() -> _Parser:
     parser = _Parser(prog="nilp2", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

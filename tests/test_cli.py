@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from nilp2 import fplinalg
-from nilp2.cli import main
+from nilp2.cli import build_parser, main
 from nilp2.constructions import extraspecial_p5, heisenberg
 from nilp2.errors import BadIndex, BadMagic, EntryOutOfRange, NotOddPrime, ParseError
 from nilp2.fileformats import (
@@ -164,10 +164,22 @@ def test_capable_determinism(tmp_path, capsys):
     assert "verdict = not_capable" in first
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     assert main(["capable"]) == 1
+    first = capsys.readouterr().err
+    assert "error:" in first
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+    # The parser is built once per process; successful commands leave no
+    # state in it that changes a later usage error.
+    h = write(tmp_path, "h.grp", HEISENBERG_FILE)
+    out_path = str(tmp_path / "out.grp")
+    assert main(["product", "--kind", "direct", h, h, "-o", out_path]) == 0
+    assert main(["extend", "--mode", "capable", h, "-o", out_path, "--report", str(tmp_path / "r.txt")]) == 0
+    capsys.readouterr()
+    assert main(["capable"]) == 1
+    assert capsys.readouterr().err == first
+    assert build_parser.cache_info().currsize == 1
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
@@ -339,11 +351,16 @@ def test_tables_within_the_cell_budget_are_built(tmp_path, capsys):
 def test_cli_import_leaves_the_selftest_battery_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(fplinalg.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys, nilp2.cli; print(sorted(m for m in sys.modules if m.startswith('nilp2.')))"
+    code = (
+        "import sys, nilp2.cli; print(sorted(m for m in sys.modules if m.startswith('nilp2.')));"
+        " print('parsers built', nilp2.cli.build_parser.cache_info().misses)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=path))
     assert "'nilp2.cli'" in proc.stdout
     assert "nilp2.selfcheck" not in proc.stdout
+    # Nor is the argument parser built at import.
+    assert "parsers built 0" in proc.stdout
 
 
 def test_undecodable_input_file_is_an_input_error(tmp_path, capsys):
