@@ -94,10 +94,9 @@ class ExtensionReport:
     bound_ok: bool
     embedding_mono: bool
     identified_vector: tuple
-    method_trail: tuple
 
 
-def _finish_report(mode, branch, trail, source, target, identified):
+def _finish_report(mode, branch, source, target, identified):
     # Every product lists its left factor's generators first, so the input
     # sits in the output as the inclusion x_i -> x_i.
     embedding = hom_from_images(source, target, target.generators()[: source.n])
@@ -119,7 +118,6 @@ def _finish_report(mode, branch, trail, source, target, identified):
         bound_ok=target.n <= source.n + claimed,
         embedding_mono=mono.status == "mono",
         identified_vector=identified,
-        method_trail=tuple(trail),
     )
 
 
@@ -134,22 +132,18 @@ def build_capable_extension(group: GroupPresentation) -> ExtensionReport:
     """
     if group.order == 1:
         raise TrivialInput("the construction requires a nontrivial input")
-    trail = []
     if not group.is_abelian and capability_verdict(group).status == CAPABLE:
         base = group
         branch = "nonabelian_capable"
-        trail.append("base=input")
     else:
         base = nilpotent2_product(group, cyclic(group.p)).group
         branch = "augmented"
-        trail.append("base=input*C_p")
     glued = _least_nonzero_commutator(base)
     free2 = heisenberg(group.p)
     ident = Identification(base, free2, (glued,), ((1,),))
     am = amalgamated_coproduct(base, free2, ident)
-    trail.append("amalgamate_rank2_free")
     identified = _image_line(am.embed_left, glued, group.p)
-    return _finish_report("capable", branch, trail, group, am.group, identified)
+    return _finish_report("capable", branch, group, am.group, identified)
 
 
 def build_noncapable_extension(group: GroupPresentation) -> ExtensionReport:
@@ -164,27 +158,22 @@ def build_noncapable_extension(group: GroupPresentation) -> ExtensionReport:
     """
     if group.order == 1:
         raise TrivialInput("the construction requires a nontrivial input")
-    trail = []
     if group.is_abelian:
         base = nilpotent2_product(group, cyclic(group.p)).group
         branch = "abelian"
-        trail.append("base=input*C_p")
     else:
         base = group
         branch = "nonabelian"
-        trail.append("base=input")
     glued = _least_nonzero_commutator(base)
     free2 = heisenberg(group.p)
     cp = central_product_identified(base, free2, Identification(base, free2, (glued,), ((1,),)))
-    trail.append("central_product_rank2_free")
     glued_mid = _image_line(cp.embed_left, glued, group.p)
     wide = extraspecial_p5(group.p)
     am = amalgamated_coproduct(
         cp.group, wide, Identification(cp.group, wide, (glued_mid,), ((1,),))
     )
-    trail.append("amalgamate_extraspecial_p5")
     identified = _image_line(am.embed_left, glued_mid, group.p)
-    return _finish_report("noncapable", branch, trail, group, am.group, identified)
+    return _finish_report("noncapable", branch, group, am.group, identified)
 
 
 @dataclass(frozen=True)

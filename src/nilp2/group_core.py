@@ -336,14 +336,7 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
 
 
 def inverse(a: GroupElement) -> GroupElement:
-    g = a.group
-    p = g.p
-    v = tuple((-x) % p for x in a.v)
-    if g.m == 0:  # kept: without it an inverse on C3^5 takes 5.9 us, not 2.0
-        return GroupElement(g, v, ())
-    va = a.v_array()
-    d = _delta(g, va, va).tolist()
-    return GroupElement(g, v, tuple((z - x) % p for x, z in zip(a.w, d)))
+    return power(a, -1)
 
 
 def power(a: GroupElement, k: int) -> GroupElement:
