@@ -178,6 +178,32 @@ def test_verify_detects_corrupted_presentation():
     assert "embedding_endpoints" in failing
 
 
+@pytest.mark.parametrize("side", ["input", "output"])
+@pytest.mark.parametrize(("edit", "message"), [("entry", "outside [0, 3)"), ("column", "span")])
+def test_verify_detects_rows_edited_in_place(side, edit, message):
+    # pairs owns its data, so its write flag can be set again and the rows
+    # edited under the cached tables, which the other checks keep reading.
+    rep = build_noncapable_extension(heisenberg(3))
+    pairs = getattr(rep, f"{side}_group").pairs
+    saved = pairs.copy()
+    pairs.flags.writeable = True
+    try:
+        if edit == "entry":
+            pairs[tuple(np.argwhere(pairs)[0])] = 3
+        else:
+            pairs[:, 0] = 0
+        checks = verify_extension(rep).checks
+    finally:
+        pairs[...] = saved
+        pairs.flags.writeable = False
+    failing = {name: detail for name, ok, detail in checks if not ok}
+    # The embedding's consistency is solved from the input's rows, so an
+    # edited input fails it too.
+    expected = {"output_valid"} if side == "output" else {"input_valid", "embedding_mono"}
+    assert set(failing) == expected
+    assert message in failing[f"{side}_valid"]
+
+
 def test_verify_detects_edited_bound():
     rep = build_noncapable_extension(heisenberg(3))
     tampered = dataclasses.replace(rep, rank_bound_claimed=rep.rank_bound_claimed + 1)

@@ -1,7 +1,8 @@
 """Desk-scale brute force against plain references: the subgroup
 enumeration against coset growth, the decomposition search against the
 pair-by-pair loop, central decompositions from Sym(kappa) against the
-search, and the element tables against the element arithmetic."""
+search, Sym(kappa)'s basis against its direct linear system, and the
+element tables against the element arithmetic."""
 
 import random
 
@@ -9,14 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nilp2.capability import central_decomposition, central_decomposition_search
+from nilp2.capability import _sym_basis, central_decomposition, central_decomposition_search
 from nilp2.constructions import extraspecial_p5, heisenberg
 from nilp2.errors import SpanDeficit
-from nilp2.fplinalg import Subspace
+from nilp2.fplinalg import Subspace, kernel_basis
 from nilp2.group_core import (
     GroupPresentation,
     _kappa,
     _tables,
+    center,
     commutator,
     cyclic,
     elementary_abelian,
@@ -258,6 +260,36 @@ def test_sym_decomposition_matches_search_on_random_presentations(group, seed):
     rng = random.Random(seed)
     again = _assert_matches_search(rebase(group, _random_invertible(rng, group.p, group.n)))
     assert again.sym_dim == got.sym_dim
+
+
+def _direct_sym(group):
+    """Sym(kappa) from the n^2-unknown system F^T K_t - K_t F = 0, as a
+    subspace of the flattened n x n matrices."""
+    p, n, kap = group.p, group.n, group.kappa_table()
+    eye = np.eye(n, dtype=np.int64)
+    # system[c, d, a, b, t]: the (a, b, t) entry for the unknown F[c, d].
+    system = np.einsum("da,cbt->cdabt", eye, kap) - np.einsum("act,db->cdabt", kap, eye)
+    return Subspace(p, n * n, kernel_basis(np.mod(system.reshape(n * n, -1).T, p), p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([3, 5, 7]))
+def test_sym_basis_spans_the_direct_system(seed, p):
+    # Few derived coordinates leave room for dim Sym well above 1.
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(2, 6)
+        m = rng.randint(1, min(3, n * (n - 1) // 2))
+        pairs = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(n * (n - 1) // 2)])
+        try:
+            group = GroupPresentation(p, n, m, pairs)
+        except SpanDeficit:
+            continue
+        if center(group).center_equals_derived:
+            break
+    for g in (group, rebase(group, _random_invertible(rng, p, n))):
+        basis = _sym_basis(g)
+        assert Subspace(p, n * n, basis.reshape(len(basis), n * n)) == _direct_sym(g)
 
 
 def _free_rank3(p):
