@@ -17,11 +17,19 @@ when g (x) e_i is orthogonal to ker J for the C(n, 3) x nm matrix J of
 the J(i, j, k).  J is built once, as ``_jacobi_entries`` from kappa's
 nonzeros; ``jacobi_subspace`` is the row space of those entries.  ker J
 comes from ``fplinalg.kernel_of_entries``, which peels singleton columns
-and hands only the dense residue to ``rref``, and the epicentre is the
-common kernel of the column slices (beta[t*n + i])_t of a basis of ker J.
-Construction outputs have at most 3 nonzeros per row of J and peel
-entirely; on dense kappa nothing peels, and J's rows with entries are
-eliminated whole, as they are when J is small.
+and rows with one entry and hands only the dense residue to ``rref``, and
+the epicentre is the common kernel of the column slices (beta[t*n + i])_t
+of a basis of ker J.  Construction outputs have at most 3 nonzeros per row
+of J and peel entirely.  Then ker J comes back as entries, the stacked
+slices are built from them, one row (i, beta) per generator and basis
+vector that meet, and the same kernel solves them: on construction outputs
+nearly every stacked row has one entry, and the row rule empties the
+system.  So no dense basis of ker J, d x nm with d = nm - rank J, is
+built: for the noncapable output over the free class-2 group of rank 24
+it would be 7,340 x 11,400 int64 cells, 669 MB.  On dense kappa nothing
+peels: J's rows with entries are eliminated whole, as they are when J is
+small, and the stacked slices of the dense null rows go to
+``kernel_basis``.
 
 When Z(G) > G', G = H x C_p^r, where r is the dimension of the radical R
 of kappa and H is generated by the generators at the non-pivot columns of
@@ -175,17 +183,33 @@ def epicentre_in_derived(group: GroupPresentation) -> Subspace:
     n, m = group.n, group.m
     if n < 3:  # no triples, so nothing qualifies; kept: the general path is 1.6-2x slower
         return Subspace.zero(group.p, m)
-    kernel = kernel_of_entries(*_jacobi_entries(group), (math.comb(n, 3), m * n), group.p)
-    if kernel.shape[0] == 0:
-        # J spans everything, so every g qualifies; kept: 55 of 88 ladder verdicts, 3-5 ms.
-        return Subspace.full(group.p, m)
-    # slices[i, r] = kernel[r, i::n], the slots t*n + i of generator i.
-    # Zero rows constrain nothing, and on sparse kappa most rows are zero.
-    # The kernel is column-major, so its transpose reshapes without a
-    # copy, and the mask gathers the stacked rows in one allocation.
-    slices = kernel.T.reshape(m, n, -1).transpose(1, 2, 0)
-    stacked = slices[slices.any(axis=2)]
-    return Subspace(group.p, m, kernel_basis(stacked, group.p))
+    p = group.p
+    kernel = kernel_of_entries(*_jacobi_entries(group), (math.comb(n, 3), m * n), p)
+    if isinstance(kernel, np.ndarray):
+        if kernel.shape[0] == 0:
+            # J spans everything, so every g qualifies; kept: 55 of 88 ladder verdicts, 3-5 ms.
+            return Subspace.full(p, m)
+        # slices[i, r] = kernel[r, i::n], the slots t*n + i of generator i.
+        # Zero rows constrain nothing.  The kernel is column-major, so its
+        # transpose reshapes without a copy, and the mask gathers the
+        # stacked rows in one allocation, no larger than the kernel.
+        slices = kernel.T.reshape(m, n, -1).transpose(1, 2, 0)
+        stacked = slices[slices.any(axis=2)]
+        return Subspace(p, m, kernel_basis(stacked, p))
+    if kernel.dim == 0:
+        return Subspace.full(p, m)
+    # Row (i, r) of the stacked system holds kernel vector r's slots t*n + i
+    # in column t; only rows with entries are numbered.  On construction
+    # outputs nearly every row has one entry, and the row rule empties it.
+    t, i = np.divmod(kernel.column, n)
+    keys, rows = np.unique(i * kernel.dim + kernel.vector, return_inverse=True)
+    common = kernel_of_entries(rows, t, kernel.value, (keys.size, m), p)
+    if isinstance(common, np.ndarray):
+        return Subspace(p, m, common)
+    check_cells((common.dim, m), "epicentre basis")
+    basis = np.zeros((common.dim, m), dtype=np.int64)
+    basis[common.vector, common.column] = common.value
+    return Subspace(p, m, basis)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 a verdict was computed, 1 usage error, 2 an input that fails
 validation or cannot be read, decoded or parsed, an output that cannot
-be written, or a dense array (a group's tables, an epicentre's Jacobi
-residue) above ``fplinalg.RESIDUE_CELL_LIMIT`` = 2^24 cells, refused with
+be written, or an array sized from the input (a group's tables, an
+epicentre's Jacobi residue, dense kernel basis or kernel entries) above
+``fplinalg.RESIDUE_CELL_LIMIT`` = 2^24 cells, refused with
 ``ResidueTooLarge`` before it is allocated, 3 verification failure.  Every
 error is one `error:` line on stderr, after the usage when argparse rejects
 the arguments.  Each command fixes its key order in one dict, which one
@@ -212,7 +213,9 @@ def cmd_selftest(args) -> int:
 
 @functools.cache  # built on the first main call, never at import
 def build_parser() -> _Parser:
-    parser = _Parser(prog="nilp2", description=__doc__)
+    # The module docstring is for readers of the code; argparse would rewrap it.
+    description = "Exact verdicts on finite groups of class at most 2 and odd prime exponent p."
+    parser = _Parser(prog="nilp2", description=description)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_inspect = sub.add_parser("inspect", help="summarize a group file")

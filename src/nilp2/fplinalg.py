@@ -43,6 +43,17 @@ at most ``cols``, a product's result always fits the storage dtype.
 Inputs of 512 entries or more that already lie in [0, p) are not reduced
 again: a min and a max cost about a tenth of a reduction pass.
 
+Sparse kernels.  ``kernel_of_entries`` takes a matrix as its nonzero
+entries and peels it by structured Gaussian elimination before ``rref``
+sees the rest: a column with one entry pivots its row, and a row with one
+entry forces its column to zero.  When a round peeled, the basis is built
+by back-substitution on entries and returned as entries, a
+``KernelEntries``; otherwise it is the dense null rows of the residue's
+reduced form.  The dense residue and the dense null rows are refused with
+ResidueTooLarge above RESIDUE_CELL_LIMIT cells before they are allocated,
+and each gather of the back-substitution is refused before it is
+allocated once it and the entries held exceed RESIDUE_CELL_LIMIT.
+
 Every sum of products of residues must stay below 2^63.  ``rref`` refuses
 a modulus with (p - 1)^2 + p >= 2^63, and ``Subspace`` one with
 ambient * (p - 1)^2 + p >= 2^63, which bounds the sums in
@@ -53,12 +64,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AmbientMismatch, ModulusTooLarge, NotOddPrime, ResidueTooLarge
 
 __all__ = [
+    "KernelEntries",
     "Subspace",
     "all_vectors",
     "check_cells",
@@ -325,54 +338,80 @@ def check_cells(shape, what: str) -> None:
 _PEEL_MIN_CELLS = 1 << 10
 
 
-def kernel_of_entries(rows, cols, vals, shape, p: int) -> np.ndarray:
-    """A basis (rows, stored column-major) of the right null space mod p of
-    the matrix of the given shape whose only nonzero entries are the
-    residues vals, in [1, p), at the distinct positions (rows[k], cols[k]);
-    the three are int64 arrays of one length.
+class KernelEntries(NamedTuple):
+    """A kernel basis of ``dim`` vectors held as its nonzero entries: vector
+    ``vector[k]`` is ``value[k]``, in [1, p), at ``column[k]``.  The
+    entries are sorted by column, and no (vector, column) repeats."""
+
+    vector: np.ndarray
+    column: np.ndarray
+    value: np.ndarray
+    dim: int
+
+
+def kernel_of_entries(rows, cols, vals, shape, p: int):
+    """A basis of the right null space mod p of the matrix of the given
+    shape whose only nonzero entries are the residues vals, in [1, p), at
+    the distinct positions (rows[k], cols[k]); the three are int64 arrays
+    of one length.
 
     Structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90;
     Bouillaguet and Delaplace, CASC 2016) in front of ``rref``.  Each round
-    counts the nonzeros of every column over the live rows and takes every
-    live row that owns a column with exactly one of them, pivoting on one
-    such column.  A pivot column meets no other row live in its round
-    or later, so the rows taken in one round do not interact.  The live
-    rows, over the columns that still meet them, form the dense residue,
-    which ``rref`` eliminates once; a residue above RESIDUE_CELL_LIMIT
-    cells is refused before it is allocated.  Rows without entries are
-    never live.  When no round takes a row, or the matrix has at most
+    counts the nonzeros of every column and of every row over the live
+    entries, then applies two rules.  A row with one entry, in column c,
+    forces x_c = 0: the row and every entry of column c are dropped.  Every
+    other row that owns a column with exactly one entry is taken, pivoting
+    on one such column.  A pivot column meets no other row live in its
+    round or later, so the rows taken in one round do not interact, and a
+    forced column is zero in every kernel vector, so a taken row may still
+    hold one.  The live rows, over the columns that still meet them, form
+    the dense residue, which ``rref`` eliminates once; a residue above
+    RESIDUE_CELL_LIMIT cells is refused before it is allocated.  Rows
+    without entries are never live.
+
+    When no round applies a rule, or the matrix has at most
     _PEEL_MIN_CELLS cells and is not peeled, the residue is the rows with
     entries over all columns, and the basis is ``_null_rows`` of its
-    reduced form.  Without that return the back-substitution would hold a
-    C-order copy of the null rows beside the F-order basis: 48.1 MB against
-    44.6-44.9 MB of peak RSS on ``epicentre_ladder``, which never peels.
+    reduced form: a dense (dim, ncols) array stored column-major, refused
+    above RESIDUE_CELL_LIMIT cells before it is allocated.  On dense input,
+    where nothing peels, entries would take 1.25-1.9x as long.
 
-    The basis holds one vector per free column f, in increasing order: a
-    column that is no peeled or residue pivot.  It is 1 at f, the residue's
-    null row of f on the residue's columns (zero unless f is one of them),
-    and at each peeled pivot the value its row forces, found in reverse
-    round order.  Column-major storage makes the back-substitution, which
-    reads and writes whole columns, and column slices cheap.
+    Otherwise the basis is a ``KernelEntries``, and no dense (dim, ncols)
+    array is built.  It holds one vector per free column f, in increasing
+    order: a column that is no peeled, forced or residue pivot.  The vector
+    is 1 at f, the residue's null row of f on the residue's columns (zero
+    unless f is one of them), and at each peeled pivot the value its row
+    forces, found in reverse round order: for each other entry (v, c) of
+    the row, every basis entry in column c, found by ``searchsorted`` on
+    the sorted columns, adds -v / (pivot value) times its value at the
+    pivot, and the sums of a vector's terms are reduced mod p.  A gather
+    is refused before it is allocated when it and the entries held so far
+    exceed RESIDUE_CELL_LIMIT.
     """
     p = int(p)
     nrows, ncols = shape
     check_int64(ncols * (p - 1) ** 2 + p, p, "kernel")
-    live = np.zeros(nrows, dtype=bool)  # rows without entries constrain nothing
-    live[rows] = True
+    forced = np.zeros(ncols, dtype=bool)  # columns a row of one entry sets to zero
     rounds = []
     while nrows * ncols > _PEEL_MIN_CELLS:  # small matrices are not peeled
         counts = np.bincount(cols, minlength=ncols)
-        single = counts[cols] == 1
-        if not single.any():
+        lone = np.bincount(rows, minlength=nrows)[rows] == 1
+        single = (counts[cols] == 1) & ~lone
+        if not (lone.any() or single.any()):
             break
+        forced[cols[lone]] = True
         taken, first = np.unique(rows[single], return_index=True)
         at = np.flatnonzero(single)[first]
-        live[taken] = False
-        keep = live[rows]
-        rest = ~keep
+        gone = np.zeros(nrows, dtype=bool)
+        gone[taken] = True
+        gone, zero = gone[rows], forced[cols]
+        rest = gone & ~zero  # the taken rows' other entries, as their pivots
         rest[at] = False
         rounds.append((taken, cols[at], vals[at], rows[rest], cols[rest], vals[rest]))
+        keep = ~(gone | zero)
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    live = np.zeros(nrows, dtype=bool)  # rows without entries constrain nothing
+    live[rows] = True
     res_cols = np.flatnonzero(counts) if rounds else np.arange(ncols)
     dims = (np.count_nonzero(live), res_cols.size)
     check_cells(dims, "dense residue")
@@ -381,39 +420,57 @@ def kernel_of_entries(rows, cols, vals, shape, p: int) -> np.ndarray:
     residue = np.zeros(dims, dtype=np.int64)
     residue[np.cumsum(live)[rows] - 1, np.cumsum(counts > 0)[cols] - 1 if rounds else cols] = vals
     r, pivots = rref(residue, p)
-    del residue  # rref returned a fresh array; the null rows are built beside it
+    del residue  # rref returned a fresh array; the basis is built beside it
     if not rounds:
+        check_cells((ncols - len(pivots), ncols), "kernel basis")
         return _null_rows(r, pivots, ncols, p, order="F")
-    null = _null_rows(r, pivots, res_cols.size, p)
-    fixed = np.zeros(ncols, dtype=bool)
+    fixed = forced
     fixed[res_cols[pivots]] = True
     for taken, pcols, *_ in rounds:
         fixed[pcols] = True
     free = np.flatnonzero(~fixed)
-    basis = np.zeros((free.size, ncols), dtype=np.int64, order="F")
-    basis[np.arange(free.size), free] = 1
-    res_free = np.delete(res_cols, pivots)
-    basis[np.ix_(np.searchsorted(free, res_free), res_cols)] = null
+    dim = free.size
+    # The residue's null rows, -r[i, f] at its pivot i for each of its free
+    # columns f, beside 1 at every free column.
+    res_free = np.delete(np.arange(res_cols.size), pivots)
+    null = np.mod(-r[: len(pivots), res_free], p)
+    i, j = np.nonzero(null)
+    # The basis entries as the rows (column, vector, value), sorted by column.
+    entries = np.array([
+        np.concatenate([free, res_cols[pivots][i]]),
+        np.concatenate([np.arange(dim), np.searchsorted(free, res_cols[res_free][j])]),
+        np.concatenate([np.ones(dim, dtype=np.int64), null[i, j]]),
+    ])
+    entries = entries[:, np.argsort(entries[0], kind="stable")]
     for taken, pcols, pvals, erows, ecols, evals in reversed(rounds):
         # x[pivot] = -sum(v * x[c]) / (pivot value), over the row's other
-        # entries (v, c).
-        if not erows.size:
+        # entries (v, c).  Forced columns hold no basis entries, and no
+        # other row of this round reads a pivot column, which holds none yet.
+        column, vector, value = entries
+        lo = np.searchsorted(column, ecols)
+        hits = np.searchsorted(column, ecols, side="right") - lo
+        total = int(hits.sum())
+        if not total:
             continue
+        check_cells((column.size + total,), "kernel basis entries")
         values, back = np.unique(pvals, return_inverse=True)
         inverse = np.array([pow(int(v), -1, p) for v in values], dtype=np.int64)[back]
-        order = np.argsort(erows, kind="stable")
-        slot = np.searchsorted(taken, erows[order])
-        ecols, coeff = ecols[order], np.mod(-evals[order] * inverse[slot], p)
-        # Pass k adds the k-th other entry of every row that has one, so no
-        # pivot column repeats within a pass.  The pivot columns start at
-        # zero, and no row of this round reads one.
-        nth = np.arange(slot.size) - np.searchsorted(slot, slot)
-        targets = pcols[slot]
-        for k in range(int(nth.max()) + 1):
-            at = nth == k
-            basis[:, targets[at]] += basis[:, ecols[at]] * coeff[at]
-        basis[:, pcols] %= p
-    return basis
+        slot = np.searchsorted(taken, erows)
+        coeff = np.mod(-evals * inverse[slot], p)
+        # The k-th other entry pulls in basis entries lo[k] .. lo[k] + hits[k] - 1.
+        owner = np.repeat(np.arange(hits.size), hits)
+        src = np.arange(total) + np.repeat(lo - np.cumsum(hits) + hits, hits)
+        key = pcols[slot][owner] * dim + vector[src]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        sums = np.mod(np.add.reduceat((value[src] * coeff[owner])[order], starts), p)
+        nonzero = sums != 0
+        new_col, new_vec = np.divmod(key[starts][nonzero], dim)
+        new = np.array([new_col, new_vec, sums[nonzero]])
+        entries = np.insert(entries, np.searchsorted(column, new_col), new, axis=1)
+    column, vector, value = entries
+    return KernelEntries(vector, column, value, dim)
 
 
 def solve_matrix(a: np.ndarray, b: np.ndarray, p: int):

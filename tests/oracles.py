@@ -234,3 +234,13 @@ def reference_tables(group: GroupPresentation):
     kap[keys[:, 0], keys[:, 1]] = vectors
     kap[keys[:, 1], keys[:, 0]] = np.mod(-vectors, p)
     return kap, np.where(np.tri(n, k=-1, dtype=bool)[:, :, None], kap, 0)
+
+
+def densify(kernel, cols: int) -> np.ndarray:
+    """A basis from ``kernel_of_entries`` as a dense (dim, cols) array: the
+    array itself, or the entries of a ``KernelEntries`` scattered."""
+    if isinstance(kernel, np.ndarray):
+        return kernel
+    out = np.zeros((kernel.dim, cols), dtype=np.int64)
+    out[kernel.vector, kernel.column] = kernel.value
+    return out

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -25,7 +26,7 @@ from nilp2.constructions import (
 from nilp2 import fplinalg
 from nilp2.errors import OrderExceedsCap, PreconditionCenterNotDerived, ResidueTooLarge, SpanDeficit
 from nilp2.fileformats import format_group, parse_group_text
-from nilp2.fplinalg import Subspace, kernel_of_entries, rref
+from nilp2.fplinalg import KernelEntries, Subspace, kernel_of_entries, rref
 from nilp2.group_core import GroupPresentation, center, cyclic, elementary_abelian, from_kappa
 from nilp2.oracles import epicentre_cross_check
 from nilp2.products import Identification, amalgamated_coproduct, central_product_identified, direct_product
@@ -36,7 +37,7 @@ from nilp2.selfcheck import (
     random_presentation,
     rebase,
 )
-from oracles import dense_epicentre, jacobi_criterion, jacobi_matrix, jacobi_vector
+from oracles import dense_epicentre, densify, jacobi_criterion, jacobi_matrix, jacobi_vector
 
 
 # -- relation subspace ------------------------------------------------------------
@@ -202,7 +203,7 @@ def _check_front_end(g):
     built[rows, cols] = vals
     assert np.array_equal(built, jac)
     assert vals.min(initial=1) >= 1 and vals.max(initial=1) < p
-    kernel = kernel_of_entries(rows, cols, vals, jac.shape, p)
+    kernel = densify(kernel_of_entries(rows, cols, vals, jac.shape, p), width)
     # Exact in float64: every sum has at most nm terms below p^2.
     assert not np.mod(jac.astype(np.float64) @ kernel.T.astype(np.float64), p).any()
     assert len(rref(kernel, p)[1]) == kernel.shape[0] == width - len(rref(jac, p)[1])
@@ -221,16 +222,20 @@ def test_front_end_on_sparse_kappa(index):
     _check_front_end(SPARSE_INPUTS[index])
 
 
-def test_residue_of_an_extraspecial_group_is_its_rows_with_entries(monkeypatch):
+def test_row_rule_empties_the_jacobi_system_of_an_extraspecial_group(monkeypatch):
     # Extraspecial 3^13: no Jacobi column is a singleton, and only the 60
-    # triples that hold one of the six pairs (x_2i-1, x_2i) have entries.
-    # The residue is those 60 rows over all 12 columns, not J's 220 x 12.
+    # triples that hold one of the six pairs (x_2i-1, x_2i) have entries,
+    # one each.  Each such row forces its column to zero, every column is
+    # forced, and no residue is left: ker J is zero, and with it the whole
+    # derived subgroup is the epicentre.
     g = _extraspecial(3, 6)
-    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 60 * 12)
-    assert epicentre_in_derived(g) == dense_epicentre(g)
-    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 60 * 12 - 1)
-    with pytest.raises(ResidueTooLarge, match="60 x 12 = 720 cells"):
-        epicentre_in_derived(g)
+    rows, cols, vals = _jacobi_entries(g)
+    assert rows.size == np.unique(rows).size == 60 and (np.bincount(cols) >= 2).all()
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 0)
+    kernel = kernel_of_entries(rows, cols, vals, (220, 12), 3)
+    assert isinstance(kernel, KernelEntries) and kernel.dim == 0 and kernel.column.size == 0
+    monkeypatch.undo()
+    assert epicentre_in_derived(g) == dense_epicentre(g) == Subspace.full(3, 1)
 
 
 @pytest.mark.parametrize("seed,p,n,m", [(0, 3, 6, 6), (1, 5, 7, 12), (2, 7, 8, 8), (3, 3, 9, 20), (4, 3, 5, 9)])
@@ -258,6 +263,20 @@ def test_front_end_on_the_constructions_over_a_rank_12_free_group(build):
     g = report.output_group
     assert (g.n, g.m) == {"capable": (14, 90), "noncapable": (18, 122)}[report.mode]
     _check_front_end(g)
+
+
+@pytest.mark.parametrize("build", [build_capable_extension, build_noncapable_extension])
+def test_epicentre_of_a_construction_fits_twice_the_nonzeros_of_j(monkeypatch, build):
+    # ker J is 896 x 1,260 (capable) or 1,380 x 2,196 (noncapable) as a dense
+    # array, but no array sized from the input exceeds twice J's 1,092 or
+    # 2,000 nonzeros: the peel and the stacked system run on entries.
+    g = build(_free_class2(3, 12)).output_group
+    epicentre = epicentre_in_derived(g)
+    nonzeros = _jacobi_entries(g)[0].size
+    kernel = kernel_of_entries(*_jacobi_entries(g), (math.comb(g.n, 3), g.n * g.m), 3)
+    assert isinstance(kernel, KernelEntries) and kernel.dim * g.n * g.m > 400 * nonzeros
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 2 * nonzeros)
+    assert epicentre_in_derived(g) == epicentre
 
 
 # -- invariance under a change of generators --------------------------------------

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -180,6 +181,22 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["capable"]) == 1
     assert capsys.readouterr().err == first
     assert build_parser.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("columns", ["60", "80", "90", "120"])
+def test_help_names_every_command_unbroken(monkeypatch, capsys, columns):
+    # argparse rewraps the description to the terminal width.  The module
+    # docstring, once the description, printed reST backquotes and at some
+    # widths split rp-check across two lines.
+    monkeypatch.setenv("COLUMNS", columns)
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    commands = ["inspect", "capable", "epicentre", "rp-check", "product", "extend", "verify-embed", "decompose", "selftest"]
+    assert re.findall(r"^    (\S+)", out, re.M) == commands
+    assert "{" + ",".join(commands) + "}" in out
+    assert "``" not in out
+    description = out.split("\n\n")[1]
+    assert not re.search(r"\w-$", description, re.M)  # no word split at a hyphen
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

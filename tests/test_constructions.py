@@ -1,9 +1,13 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from nilp2 import constructions
 from nilp2.capability import central_decomposition, epicentre_in_derived, rp_membership
 from nilp2.constructions import (
     _image_line,
@@ -333,3 +337,41 @@ def test_report_embedding_is_the_composite_through_the_intermediate_products():
     for g in inputs:
         for rep in (build_capable_extension(g), build_noncapable_extension(g)):
             assert_same_map(rep.embedding, _composite_embedding(rep))
+
+
+PAPER_SCALE = """
+import re
+
+import numpy as np
+
+from nilp2.constructions import build_capable_extension, build_noncapable_extension, verify_extension
+from nilp2.group_core import from_kappa
+
+n = 24
+kap = np.zeros((n, n, n * (n - 1) // 2), dtype=np.int64)
+kap[np.tri(n, k=-1, dtype=bool), np.arange(kap.shape[2])] = 1
+free = from_kappa(3, kap)
+for build in (build_capable_extension, build_noncapable_extension):
+    report = build(free)
+    out = report.output_group
+    print(report.mode, out.n, out.m, verify_extension(report).passed, report.capability.evidence["epicentre_dim"])
+with open("/proc/self/status") as status:
+    print("peak_mb", int(re.search(r"VmHWM:\\s+(\\d+) kB", status.read()).group(1)) // 1024)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
+def test_constructions_over_the_free_group_of_rank_24_stay_under_300_mb():
+    # The noncapable output is (30, 380), and a dense basis of its ker J
+    # would be 7,340 x 11,400 int64 cells: such a run peaked at about
+    # 1.3 GB.  On entries both builds and both verifications peak below
+    # 300 MB.  A fresh process, whose VmHWM is its own peak; its ru_maxrss
+    # would also count the test process's peak, which the exec inherits.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(constructions.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", PAPER_SCALE], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["capable 26 324 True 0", "noncapable 30 380 True 1"]
+    peak = int(lines[2].split()[1])
+    assert peak < 300, f"peak RSS {peak} MB"

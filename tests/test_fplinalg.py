@@ -6,6 +6,7 @@ import pytest
 from nilp2 import fplinalg
 from nilp2.errors import AmbientMismatch, ModulusTooLarge, NotOddPrime, ResidueTooLarge
 from nilp2.fplinalg import (
+    KernelEntries,
     Subspace,
     all_vectors,
     check_odd_prime,
@@ -17,6 +18,7 @@ from nilp2.fplinalg import (
     solve_matrix,
 )
 from nilp2.oracles import all_subspaces
+from oracles import densify
 
 
 def test_odd_prime_detection():
@@ -491,9 +493,9 @@ def _spy(monkeypatch, name):
     calls = []
     original = getattr(fplinalg, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(fplinalg, name, spy)
     return calls
@@ -617,13 +619,55 @@ def _mixed(rng, p):
     return a
 
 
+def _lone_entry(rng, p):
+    """Sparse rows plus one row whose only entry lies in a column that
+    other rows meet too: the row rule, not the column rule, removes it."""
+    a = _sparse(rng, p, 60, 50, per_row=3)
+    a[:, 7] = 0
+    a[[3, 20, 41], 7] = [rng.randrange(1, p) for _ in range(3)]
+    a[20] = 0
+    a[20, 7] = rng.randrange(1, p)
+    return a
+
+
+def _forcing_chain(rng, p, n):
+    """A row with one entry, then rows (x_i-1, x_i), then a dense block of
+    full column rank on x_n and five more columns, under random row and
+    column permutations.  No column is a singleton, and forcing x_i - 1 to
+    zero leaves the row (x_i - 1, x_i) with one entry: one round per link."""
+    a = np.zeros((n + 9, n + 6), dtype=np.int64)
+    a[0, 0] = rng.randrange(1, p)
+    a[np.arange(1, n + 1), np.arange(n)] = [rng.randrange(1, p) for _ in range(n)]
+    a[np.arange(1, n + 1), np.arange(1, n + 1)] = [rng.randrange(1, p) for _ in range(n)]
+    a[n + 1 :, n:] = _random_matrix(rng, p, 8, 6)
+    return a[rng.sample(range(n + 9), n + 9)][:, rng.sample(range(n + 6), n + 6)]
+
+
+def _block_diagonal(a, b):
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.int64)
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0] :, a.shape[1] :] = b
+    return out
+
+
 SPARSE_SHAPES = [
     ("chain", lambda rng, p: _chain(rng, p, 40)),
     ("sparse_rows_3", lambda rng, p: _sparse(rng, p, 80, 100)),
     ("sparse_tall", lambda rng, p: _sparse(rng, p, 150, 60, per_row=2)),
     ("sparse_and_dense", _mixed),
     ("no_entries", lambda rng, p: np.zeros((7, 5), dtype=np.int64)),
+    ("lone_entry", _lone_entry),
+    ("forcing_chain", lambda rng, p: _forcing_chain(rng, p, 40)),
+    ("forcing_chains_apart", lambda rng, p: _block_diagonal(_forcing_chain(rng, p, 30), _forcing_chain(rng, p, 12))),
 ]
+
+
+def _peels(a):
+    """Whether a round of kernel_of_entries applies a rule to a: a column
+    or a row with exactly one entry, in a matrix above _PEEL_MIN_CELLS."""
+    if a.size <= fplinalg._PEEL_MIN_CELLS:
+        return False
+    return (np.count_nonzero(a, axis=0) == 1).any() or (np.count_nonzero(a, axis=1) == 1).any()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 101, 46337])
@@ -632,16 +676,23 @@ def test_kernel_of_entries_spans_the_reference_kernel(p, shape):
     rng = random.Random(f"{shape}-{p}")
     a = np.mod(dict(SHAPES + SPARSE_SHAPES)[shape](rng, p), p)
     cols = a.shape[1]
-    k = kernel_of_entries(*_entries(a), a.shape, p)
+    raw = kernel_of_entries(*_entries(a), a.shape, p)
+    k = densify(raw, cols)
     ref = reference_kernel(a.tolist(), p, cols)
     assert k.dtype == np.int64 and k.shape == (len(ref), cols)
     assert _is_zero_mod(np.array(a, dtype=object) @ np.array(k, dtype=object).T, p)
     # Independent rows that span the reference kernel.
     r, pivots = rref(k, p)
     assert len(pivots) == len(ref) and r.tolist() == ref
-    if a.size <= fplinalg._PEEL_MIN_CELLS or (np.count_nonzero(a, axis=0) >= 2).all():
+    if _peels(a):
+        # Entries sorted by column, each a residue in [1, p), no position twice.
+        assert isinstance(raw, KernelEntries) and raw.dim == len(ref)
+        assert (np.diff(raw.column) >= 0).all()
+        assert raw.value.dtype == np.int64 and ((raw.value >= 1) & (raw.value < p)).all()
+        assert np.unique(raw.column * max(raw.dim, 1) + raw.vector).size == raw.column.size
+    else:
         # Nothing is peeled: the null rows of the reduced form, as before.
-        assert np.array_equal(k, Subspace(p, cols, a).complement_projection())
+        assert np.array_equal(raw, Subspace(p, cols, a).complement_projection())
 
 
 def test_kernel_of_entries_refuses_a_modulus_whose_sums_overflow():
@@ -668,3 +719,71 @@ def test_residue_budget_is_checked_before_the_residue_is_built(monkeypatch):
     with pytest.raises(ResidueTooLarge, match=f"RESIDUE_CELL_LIMIT = {cells - 1}"):
         kernel_of_entries(*entries, a.shape, p)
     assert len(calls) == 2
+
+
+def test_rows_without_entries_stay_out_of_the_residue(monkeypatch):
+    # 60 dense rows among 220, over 12 columns: nothing peels, and the
+    # residue is those 60 rows, not the matrix's 220 x 12.
+    p = 3
+    a = np.zeros((220, 12), dtype=np.int64)
+    a[random.Random(3).sample(range(220), 60)] = _random_matrix(random.Random(4), p, 60, 12, rank=9) % p
+    a[a.any(axis=1)] = np.where(a[a.any(axis=1)] == 0, 1, a[a.any(axis=1)])
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 60 * 12)
+    assert isinstance(kernel_of_entries(*_entries(a), a.shape, p), np.ndarray)
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 60 * 12 - 1)
+    with pytest.raises(ResidueTooLarge, match="dense residue of 60 x 12 = 720 cells"):
+        kernel_of_entries(*_entries(a), a.shape, p)
+
+
+def test_unpeeled_kernel_basis_is_checked_before_it_is_built(monkeypatch):
+    # A wide dense matrix peels nothing.  Its residue is 10 x 200 = 2,000
+    # cells, and its null rows 190 x 200 = 38,000: refused after the
+    # residue's elimination and before the null rows are allocated.
+    p = 7
+    a = _random_matrix(random.Random(5), p, 10, 200)
+    a[a == 0] = 1
+    null_rows = _spy(monkeypatch, "_null_rows")
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 190 * 200)
+    k = kernel_of_entries(*_entries(a), a.shape, p)
+    assert k.shape == (190, 200) and len(null_rows) == 1
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 190 * 200 - 1)
+    with pytest.raises(ResidueTooLarge, match="kernel basis of 190 x 200 = 38000 cells"):
+        kernel_of_entries(*_entries(a), a.shape, p)
+    assert len(null_rows) == 1
+
+
+def test_entry_budget_is_checked_before_each_gather(monkeypatch):
+    # The largest gather of a chain's back-substitution sets the limit: at
+    # it the kernel is built, one entry below it is refused.
+    p = 5
+    a = _chain(random.Random(11), p, 40)
+    entries = _entries(a)
+    checks = []
+    original = fplinalg.check_cells
+
+    def spy(shape, what):
+        checks.append((shape, what))
+        return original(shape, what)
+
+    monkeypatch.setattr(fplinalg, "check_cells", spy)
+    k = kernel_of_entries(*entries, a.shape, p)
+    gathers = [shape[0] for shape, what in checks if what == "kernel basis entries"]
+    assert gathers and max(gathers) >= k.column.size
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", max(gathers))
+    kernel_of_entries(*entries, a.shape, p)
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", max(gathers) - 1)
+    with pytest.raises(ResidueTooLarge, match=f"kernel basis entries of {max(gathers)} = "):
+        kernel_of_entries(*entries, a.shape, p)
+
+
+def test_row_rule_forces_a_chain_column_by_column(monkeypatch):
+    # Every x_i of the forcing chain is forced to zero, one round per link,
+    # and the rows the row rule removes never reach the residue: it is the
+    # dense block's 8 rows over the 5 columns beside x_n.
+    p = 7
+    a = np.mod(_forcing_chain(random.Random(9), p, 40), p)
+    calls = _spy(monkeypatch, "rref")
+    k = kernel_of_entries(*_entries(a), a.shape, p)
+    (residue,) = [args[0] for args in calls]
+    assert residue.shape == (8, 5)
+    assert isinstance(k, KernelEntries) and k.dim == 46 - 40 - 1 - 5
