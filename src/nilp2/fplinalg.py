@@ -384,9 +384,9 @@ def kernel_of_entries(rows, cols, vals, shape, p: int):
     forces, found in reverse round order: for each other entry (v, c) of
     the row, every basis entry in column c, found by ``searchsorted`` on
     the sorted columns, adds -v / (pivot value) times its value at the
-    pivot, and the sums of a vector's terms are reduced mod p.  A gather
-    is refused before it is allocated when it and the entries held so far
-    exceed RESIDUE_CELL_LIMIT.
+    pivot, and the sums of a vector's terms are reduced mod p.  The first
+    entries, and each gather with the entries held so far, are refused
+    before they are allocated above RESIDUE_CELL_LIMIT.
     """
     p = int(p)
     nrows, ncols = shape
@@ -405,8 +405,8 @@ def kernel_of_entries(rows, cols, vals, shape, p: int):
         gone = np.zeros(nrows, dtype=bool)
         gone[taken] = True
         gone, zero = gone[rows], forced[cols]
-        rest = gone & ~zero  # the taken rows' other entries, as their pivots
-        rest[at] = False
+        rest = gone & ~zero  # the taken rows' entries in unforced columns,
+        rest[at] = False  # less their pivots
         rounds.append((taken, cols[at], vals[at], rows[rest], cols[rest], vals[rest]))
         keep = ~(gone | zero)
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
@@ -435,6 +435,7 @@ def kernel_of_entries(rows, cols, vals, shape, p: int):
     res_free = np.delete(np.arange(res_cols.size), pivots)
     null = np.mod(-r[: len(pivots), res_free], p)
     i, j = np.nonzero(null)
+    check_cells((dim + i.size,), "kernel basis entries")
     # The basis entries as the rows (column, vector, value), sorted by column.
     entries = np.array([
         np.concatenate([free, res_cols[pivots][i]]),

@@ -268,8 +268,9 @@ def test_front_end_on_the_constructions_over_a_rank_12_free_group(build):
 @pytest.mark.parametrize("build", [build_capable_extension, build_noncapable_extension])
 def test_epicentre_of_a_construction_fits_twice_the_nonzeros_of_j(monkeypatch, build):
     # ker J is 896 x 1,260 (capable) or 1,380 x 2,196 (noncapable) as a dense
-    # array, but no array sized from the input exceeds twice J's 1,092 or
-    # 2,000 nonzeros: the peel and the stacked system run on entries.
+    # array.  It comes back as entries, and with the limit at twice J's 1,092
+    # or 2,000 nonzeros the residues, the gathers and the stacked system's
+    # basis all pass their checks.
     g = build(_free_class2(3, 12)).output_group
     epicentre = epicentre_in_derived(g)
     nonzeros = _jacobi_entries(g)[0].size
