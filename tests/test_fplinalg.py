@@ -631,10 +631,10 @@ def _lone_entry(rng, p):
 
 
 def _forcing_chain(rng, p, n):
-    """A row with one entry, then rows (x_i-1, x_i), then a dense block of
-    full column rank on x_n and five more columns, under random row and
-    column permutations.  No column is a singleton, and forcing x_i - 1 to
-    zero leaves the row (x_i - 1, x_i) with one entry: one round per link."""
+    """A row with one entry, then rows (x_i-1, x_i), then a random 8 x 6
+    block on x_n and five more columns, under random row and column
+    permutations.  Forcing x_i - 1 to zero leaves the row (x_i - 1, x_i)
+    with one entry: one round per link."""
     a = np.zeros((n + 9, n + 6), dtype=np.int64)
     a[0, 0] = rng.randrange(1, p)
     a[np.arange(1, n + 1), np.arange(n)] = [rng.randrange(1, p) for _ in range(n)]
@@ -777,13 +777,16 @@ def test_entry_budget_is_checked_before_each_gather(monkeypatch):
 
 
 def test_row_rule_forces_a_chain_column_by_column(monkeypatch):
-    # Every x_i of the forcing chain is forced to zero, one round per link,
-    # and the rows the row rule removes never reach the residue: it is the
-    # dense block's 8 rows over the 5 columns beside x_n.
+    # Every x_i of the forcing chain, x_0 .. x_40, is forced to zero, one
+    # round per link, and the rows the row rule removes never reach the
+    # residue: it is the block's 8 rows over the 5 columns beside x_40.  At
+    # this seed no column is a singleton, and the block has full column
+    # rank, so the kernel is zero.
     p = 7
     a = np.mod(_forcing_chain(random.Random(9), p, 40), p)
+    assert (np.count_nonzero(a, axis=0) >= 2).all()
     calls = _spy(monkeypatch, "rref")
     k = kernel_of_entries(*_entries(a), a.shape, p)
     (residue,) = [args[0] for args in calls]
     assert residue.shape == (8, 5)
-    assert isinstance(k, KernelEntries) and k.dim == 46 - 40 - 1 - 5
+    assert isinstance(k, KernelEntries) and k.dim == 0
