@@ -14,8 +14,8 @@ the relation subspace are
 and an element g of the derived space is in the epicentre exactly when
 g (x) e_i lies in that subspace for every generator index i, that is,
 when g (x) e_i is orthogonal to ker J for the C(n, 3) x nm matrix J of
-the J(i, j, k).  J is built once, as ``_jacobi_entries`` from kappa's
-nonzeros; ``jacobi_subspace`` is the row space of those entries.  ker J
+the J(i, j, k).  J is built once, as ``_jacobi_entries`` from the pairing
+rows' nonzeros; ``jacobi_subspace`` is the row space of those entries.  ker J
 comes from ``fplinalg.kernel_of_entries``, which peels singleton columns
 and rows with one entry and hands only the dense residue to ``rref``, and
 the epicentre is the common kernel of the column slices (beta[t*n + i])_t
@@ -34,7 +34,9 @@ small, and the stacked slices of the dense null rows go to
 When Z(G) > G', G = H x C_p^r, where r is the dimension of the radical R
 of kappa and H is generated by the generators at the non-pivot columns of
 R's echelon basis; then Z(H) = [H, H] = [G, G] in the same derived
-coordinates.  The exterior square of a direct product splits (Brown,
+coordinates.  H is a selection of rows: the commutators of two such
+generators keep their pairing rows, in G's order, and H is never built as
+a presentation.  The exterior square of a direct product splits (Brown,
 Johnson and Robertson, J. Algebra 111, 1987) and the exterior centre is
 the epicentre (Ellis, J. London Math. Soc. 51, 1995), so
 Z*(G) = Z*(H) x 1, and the criterion applied to H decides G.  Applied to
@@ -82,7 +84,6 @@ from .group_core import (
     _kappa,
     _subgroup_table,
     center,
-    from_kappa,
 )
 
 __all__ = [
@@ -109,57 +110,47 @@ SYM_ENUMERATION_LIMIT = 1 << 18
 SYM_SEED = 0
 
 
-def _radical_complement(group: GroupPresentation, radical: Subspace) -> GroupPresentation:
-    """The factor H of G = H x C_p^r: generated by the generators at the
-    radical's non-pivot columns f_1 < f_2 < ..., with
-    c'(b, a) = kappa(e_{f_b}, e_{f_a}) and G's derived coordinates."""
-    pivots = set(radical.pivots)
-    free = [f for f in range(group.n) if f not in pivots]
-    return from_kappa(group.p, group.kappa_table()[np.ix_(free, free)])
-
-
 @functools.lru_cache(maxsize=None)
 def _triple_slots(n: int):
-    """The pairs a < b as ``np.triu_indices`` gives them and, for each pair
-    and each third index c in increasing order, the row of the sorted
-    triple among ``itertools.combinations(range(n), 3)``, c, and whether
-    a < c < b: read-only arrays, the last three of shape
-    (C(n, 2), n - 2)."""
+    """For each pair j > i in ``np.tril_indices(n, -1)`` order, which is
+    the order of the pairing rows, and each third index c in increasing
+    order: the row of the sorted triple among
+    ``itertools.combinations(range(n), 3)``, c, and whether i < c < j.
+    Read-only arrays of shape (C(n, 2), n - 2)."""
     x, y, z = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3).T
-    # The terms (a, b; c) of J(x, y, z): kappa(x, y) (x) e_z,
-    # kappa(y, z) (x) e_x and kappa(z, x) (x) e_y, the last on the pair (x, z).
-    a, b, c = np.concatenate([x, y, x]), np.concatenate([y, z, z]), np.concatenate([z, x, y])
-    order = np.lexsort((c, b, a))
+    # The terms of J(x, y, z) on the pairs (y, x), (z, y) and (z, x), with
+    # the thirds z, x and y.
+    j, i, c = np.concatenate([y, z, z]), np.concatenate([x, y, x]), np.concatenate([z, x, y])
+    order = np.lexsort((c, i, j))
     shape = (n * (n - 1) // 2, max(n - 2, 0))
     rows = np.tile(np.arange(len(x)), 3)
-    out = (*np.triu_indices(n, 1), *(v[order].reshape(shape) for v in (rows, c, (a < c) & (c < b))))
+    out = tuple(v[order].reshape(shape) for v in (rows, c, (i < c) & (c < j)))
     for arr in out:
         arr.flags.writeable = False
     return out
 
 
-def _jacobi_entries(group: GroupPresentation):
+def _jacobi_entries(n: int, p: int, pairs: np.ndarray):
     """The nonzero entries (row, column, value) of the C(n, 3) x nm matrix
-    whose rows are the J(i, j, k), i < j < k, in combinations order.
+    whose rows are the J(i, j, k), i < j < k, in combinations order, for
+    the pairing rows ``pairs`` of n generators.
 
-    Each nonzero kappa(a, b)_t with a < b and each third index c give the
-    entry kappa(a, b)_t at slot t*n + c of the row of the sorted triple,
-    negated when a < c < b: then (a, b, c) is no rotation of the triple,
-    whose term is kappa(b, a) (x) e_c.
+    Each nonzero c(j, i)_t and each third index c give the entry c(j, i)_t
+    at slot t*n + c of the row of the sorted triple when i < c < j, whose
+    term is kappa(j, i) (x) e_c, and its negative otherwise, where the
+    term is kappa(i, j) (x) e_c.
     """
-    n, p = group.n, group.p
-    a, b, rows, c, flip = _triple_slots(n)
-    pairs = group.kappa_table()[a, b]
+    rows, c, inside = _triple_slots(n)
     pair, t = np.nonzero(pairs)
     v = pairs[pair, t][:, None]
-    vals = np.where(flip[pair], p - v, v)
+    vals = np.where(inside[pair], v, p - v)
     return rows[pair].ravel(), (t[:, None] * n + c[pair]).ravel(), vals.ravel()
 
 
 def jacobi_subspace(group: GroupPresentation) -> Subspace:
     """The relation subspace, spanned by J(i, j, k) for i < j < k: the row
     space of the matrix with the entries of ``_jacobi_entries``."""
-    rows, cols, vals = _jacobi_entries(group)
+    rows, cols, vals = _jacobi_entries(group.n, group.p, group.pairs)
     out = np.zeros((math.comb(group.n, 3), group.m * group.n), dtype=np.int64)
     out[rows, cols] = vals
     return Subspace(group.p, out.shape[1], out)
@@ -170,21 +161,23 @@ def epicentre_in_derived(group: GroupPresentation) -> Subspace:
 
     Computed on the factor H with Z(H) = [H, H] (H = G when the radical is
     zero), where it is exactly {g : g (x) e_i lies in the relation subspace
-    for every i}.  Nontrivial abelian groups have no such factor and are
-    refused.
+    for every i}.  H's pairing rows are G's rows whose two generators both
+    lie off the radical's pivots, in G's order and derived coordinates.
+    Nontrivial abelian groups have no such factor and are refused.
     """
     info = center(group)
+    n, m, p, pairs = group.n, group.m, group.p, group.pairs
     if not info.center_equals_derived:
         if group.is_abelian:
             raise PreconditionCenterNotDerived(
                 "epicentre computation requires a nonabelian group"
             )
-        group = _radical_complement(group, info.radical)
-    n, m = group.n, group.m
+        free = np.isin(np.arange(n), info.radical.pivots, invert=True)
+        j, i = np.tril_indices(n, -1)
+        n, pairs = int(np.count_nonzero(free)), pairs[free[j] & free[i]]
     if n < 3:  # no triples, so nothing qualifies; kept: the general path is 1.6-2x slower
-        return Subspace.zero(group.p, m)
-    p = group.p
-    kernel = kernel_of_entries(*_jacobi_entries(group), (math.comb(n, 3), m * n), p)
+        return Subspace.zero(p, m)
+    kernel = kernel_of_entries(*_jacobi_entries(n, p, pairs), (math.comb(n, 3), m * n), p)
     if isinstance(kernel, np.ndarray):
         if kernel.shape[0] == 0:
             # J spans everything, so every g qualifies; kept: 55 of 88 ladder verdicts, 3-5 ms.

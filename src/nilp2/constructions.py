@@ -6,6 +6,14 @@ one.  Both return a self-contained report carrying the presentations, the
 embedding, the recomputable verdicts, and the rank bounds
 (+2/+3 respectively +6/+7 on the abelianized rank, by branch).
 
+Every product lists its left factor's generators first, so the input sits
+in each product as the inclusion x_i -> x_i, and [x_j, x_i] has the same
+pairing row in the factor and the product: the inclusion's image of the
+factor's row r is the product's row r.  So the glued commutator is named by
+its row r0, the base's first nonzero row, and the line glued at each step,
+like the report's identified vector, is row r0 of that step's presentation
+scaled to a leading 1.  No intermediate inclusion is solved.
+
 Each output is an amalgamated coproduct of nontrivial factors.
 rp_membership decides its membership in the restricted class from the
 presentation alone, so a report and the same output re-read from its file
@@ -64,18 +72,17 @@ def extraspecial_p5(p: int) -> GroupPresentation:
     )
 
 
-def _image_line(hom: GeneratorMap, vec: tuple, p: int) -> tuple:
-    """The image of the derived vector vec under hom, scaled to a leading 1."""
-    return Subspace(p, hom.codomain.m, [hom.commutator_matrix @ np.asarray(vec)]).basis_tuples()[0]
-
-
-def _least_nonzero_commutator(group: GroupPresentation) -> tuple:
-    """Deterministic nontrivial derived element: the commutator vector of
-    the lexicographically least nonzero pair, scaled to a leading 1."""
+def _glued_row(group: GroupPresentation) -> int:
+    """The row r0 of the glued commutator: the first nonzero pairing row."""
     nonzero = np.flatnonzero(group.pairs.any(axis=1))
     if not nonzero.size:
         raise Nilp2Error("presentation has no nonzero commutators")
-    return Subspace(group.p, group.m, group.pairs[nonzero[:1]]).basis_tuples()[0]
+    return int(nonzero[0])
+
+
+def _row_line(group: GroupPresentation, row: int) -> tuple:
+    """Pairing row ``row`` of group, scaled to a leading 1."""
+    return Subspace(group.p, group.m, group.pairs[row : row + 1]).basis_tuples()[0]
 
 
 @dataclass(frozen=True)
@@ -97,8 +104,6 @@ class ExtensionReport:
 
 
 def _finish_report(mode, branch, source, target, identified):
-    # Every product lists its left factor's generators first, so the input
-    # sits in the output as the inclusion x_i -> x_i.
     embedding = hom_from_images(source, target, target.generators()[: source.n])
     mono = is_monomorphism(embedding)
     verdict = capability_verdict(target)
@@ -138,12 +143,11 @@ def build_capable_extension(group: GroupPresentation) -> ExtensionReport:
     else:
         base = nilpotent2_product(group, cyclic(group.p)).group
         branch = "augmented"
-    glued = _least_nonzero_commutator(base)
+    r0 = _glued_row(base)
     free2 = heisenberg(group.p)
-    ident = Identification(base, free2, (glued,), ((1,),))
-    am = amalgamated_coproduct(base, free2, ident)
-    identified = _image_line(am.embed_left, glued, group.p)
-    return _finish_report("capable", branch, group, am.group, identified)
+    ident = Identification(base, free2, (_row_line(base, r0),), ((1,),))
+    am = amalgamated_coproduct(base, free2, ident).group
+    return _finish_report("capable", branch, group, am, _row_line(am, r0))
 
 
 def build_noncapable_extension(group: GroupPresentation) -> ExtensionReport:
@@ -164,16 +168,13 @@ def build_noncapable_extension(group: GroupPresentation) -> ExtensionReport:
     else:
         base = group
         branch = "nonabelian"
-    glued = _least_nonzero_commutator(base)
+    r0 = _glued_row(base)
     free2 = heisenberg(group.p)
-    cp = central_product_identified(base, free2, Identification(base, free2, (glued,), ((1,),)))
-    glued_mid = _image_line(cp.embed_left, glued, group.p)
+    ident = Identification(base, free2, (_row_line(base, r0),), ((1,),))
+    cp = central_product_identified(base, free2, ident).group
     wide = extraspecial_p5(group.p)
-    am = amalgamated_coproduct(
-        cp.group, wide, Identification(cp.group, wide, (glued_mid,), ((1,),))
-    )
-    identified = _image_line(am.embed_left, glued_mid, group.p)
-    return _finish_report("noncapable", branch, group, am.group, identified)
+    am = amalgamated_coproduct(cp, wide, Identification(cp, wide, (_row_line(cp, r0),), ((1,),))).group
+    return _finish_report("noncapable", branch, group, am, _row_line(am, r0))
 
 
 @dataclass(frozen=True)

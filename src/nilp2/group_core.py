@@ -4,10 +4,11 @@ A presentation is the data (p, n, m, c): generators x_1..x_n spanning the
 group modulo its derived subgroup, the derived subgroup identified with
 F_p^m, and c(j, i) in F_p^m the coordinates of [x_j, x_i] for
 1 <= i < j <= n, held as one read-only int64 array ``pairs`` of shape
-(C(n, 2), m) in the row order of ``np.tril_indices(n, -1)``.  Tables of
-more than RESIDUE_CELL_LIMIT cells, (n, n, m) or ``center``'s n x n, are
-refused with ResidueTooLarge before allocation.  Every element has a unique
-normal form
+(C(n, 2), m) in the row order of ``np.tril_indices(n, -1)``.  It and its
+two tables are views of read-only arrays, which numpy will not make
+writeable again.  Tables of more than RESIDUE_CELL_LIMIT cells,
+(n, n, m) or ``center``'s n x n, are refused with ResidueTooLarge before
+allocation.  Every element has a unique normal form
 
     x_1^{v_1} ... x_n^{v_n} * z^w,    v in F_p^n, w in F_p^m,
 
@@ -141,7 +142,7 @@ class GroupPresentation:
             if len(pivots) != m:
                 raise SpanDeficit(len(pivots), m)
         pairs.flags.writeable = False
-        self.n, self.m, self.pairs = n, m, pairs
+        self.n, self.m, self.pairs = n, m, pairs.view()
         self.label = str(label)
         self._c_items = self._kappa = self._delta = self._center = self._hash = None
 
@@ -183,16 +184,17 @@ class GroupPresentation:
                 k[j, i] = self.pairs
                 k[i, j] = np.mod(-self.pairs, self.p)
             k.flags.writeable = False
-            self._kappa = k
+            self._kappa = k.view()
         return self._kappa
 
     def delta_table(self) -> np.ndarray:
         """Collection table: c(j, i) at slot (j-1, i-1) for j > i, else zero."""
         if self._delta is None:
-            self._delta = np.zeros((self.n, self.n, self.m), dtype=np.int64)
+            d = np.zeros((self.n, self.n, self.m), dtype=np.int64)
             if self.m:
-                self._delta[np.tril_indices(self.n, -1)] = self.pairs
-            self._delta.flags.writeable = False
+                d[np.tril_indices(self.n, -1)] = self.pairs
+            d.flags.writeable = False
+            self._delta = d.view()
         return self._delta
 
     # -- elements ---------------------------------------------------------

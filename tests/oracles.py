@@ -2,7 +2,8 @@
 by coset growth, injectivity by a kernel scan, map composition by applying
 one map to the other's generator images, the Jacobi relation vector of one
 triple, the Jacobi criterion by one elimination of the dense Jacobi
-matrix, on the group as given or after the radical split, the elements
+matrix, on the group as given or after the radical split, whose factor H
+is built as a presentation of its own, the elements
 behind element-table indices, the four products built
 commutator by commutator through a stage presentation, and a
 presentation's two tables scattered from its (j, i) tuples."""
@@ -12,10 +13,9 @@ import math
 
 import numpy as np
 
-from nilp2.capability import _radical_complement
 from nilp2.errors import PreconditionCenterNotDerived, PresentationMismatch
 from nilp2.fplinalg import Subspace, kernel_basis
-from nilp2.group_core import GroupPresentation, Subgroup, _tables, _weights, center, hom_from_images
+from nilp2.group_core import GroupPresentation, Subgroup, _tables, _weights, center, from_kappa, hom_from_images
 
 
 def jacobi_vector(group: GroupPresentation, x: int, y: int, z: int) -> np.ndarray:
@@ -55,18 +55,24 @@ def jacobi_criterion(group: GroupPresentation) -> Subspace:
     return Subspace(group.p, m, kernel_basis(stacked, group.p))
 
 
+def radical_factor(group: GroupPresentation) -> GroupPresentation:
+    """The factor H of G = H x C_p^r as a presentation of its own: kappa
+    restricted to the generators off the pivots of the radical's echelon
+    basis, in G's derived coordinates; G itself when the radical is zero."""
+    radical = center(group).radical
+    free = [f for f in range(group.n) if f not in radical.pivots]
+    return from_kappa(group.p, group.kappa_table()[free][:, free]) if radical.dim else group
+
+
 def dense_epicentre(group: GroupPresentation) -> Subspace:
     """The epicentre as capability.epicentre_in_derived computed it before
     its sparse front end: the radical split, then jacobi_criterion on the
     factor H."""
-    info = center(group)
-    if not info.center_equals_derived:
-        if group.is_abelian:
-            raise PreconditionCenterNotDerived(
-                "epicentre computation requires a nonabelian group"
-            )
-        group = _radical_complement(group, info.radical)
-    return jacobi_criterion(group)
+    if group.is_abelian and not center(group).center_equals_derived:
+        raise PreconditionCenterNotDerived(
+            "epicentre computation requires a nonabelian group"
+        )
+    return jacobi_criterion(radical_factor(group))
 
 
 def decode(group: GroupPresentation, indices) -> tuple:

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nilp2.capability import (
     _jacobi_entries,
-    _radical_complement,
     _triple_slots,
     capability_verdict,
     central_decomposition,
@@ -37,7 +36,7 @@ from nilp2.selfcheck import (
     random_presentation,
     rebase,
 )
-from oracles import dense_epicentre, densify, jacobi_criterion, jacobi_matrix, jacobi_vector
+from oracles import dense_epicentre, densify, jacobi_criterion, jacobi_matrix, jacobi_vector, radical_factor
 
 
 # -- relation subspace ------------------------------------------------------------
@@ -85,21 +84,22 @@ def _random_kappa(rng, p, n):
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("n", range(10))
 def test_one_jacobi_builder_at_every_small_rank(n, p):
-    # Every (pair, third index) once, pairs in triu order and thirds
-    # increasing, each in the combinations row of its triple; n < 3 has
-    # pairs but no triples.
-    a, b, triple_row, c, flip = _triple_slots(n)
-    assert triple_row.shape == c.shape == flip.shape == (n * (n - 1) // 2, max(n - 2, 0))
-    named = [(int(a[q]), int(b[q]), int(k)) for q in range(len(a)) for k in c[q]]
-    assert named == [(i, j, k) for i, j in itertools.combinations(range(n), 2) for k in range(n) if k not in (i, j)]
+    # Every (pair, third index) once, pairs j > i in the tril order of the
+    # pairing rows and thirds increasing, each in the combinations row of
+    # its triple; n < 3 has pairs but no triples.
+    triple_row, c, inside = _triple_slots(n)
+    assert triple_row.shape == c.shape == inside.shape == (n * (n - 1) // 2, max(n - 2, 0))
+    j, i = np.tril_indices(n, -1)
+    named = [(int(j[q]), int(i[q]), int(k)) for q in range(len(j)) for k in c[q]]
+    assert named == [(b, a, k) for b in range(n) for a in range(b) for k in range(n) if k not in (a, b)]
     triples = list(itertools.combinations(range(n), 3))
     assert [triples[r] for r in triple_row.ravel()] == [tuple(sorted(t)) for t in named]
-    assert flip.ravel().tolist() == [i < k < j for i, j, k in named]
+    assert inside.ravel().tolist() == [a < k < b for b, a, k in named]
     # The dense scatter of the entries is the oracle's J, and its row space
     # is jacobi_subspace.
     g = _random_kappa(np.random.default_rng(100 * n + p), p, n)
     jac = jacobi_matrix(g)
-    rows, cols, vals = _jacobi_entries(g)
+    rows, cols, vals = _jacobi_entries(n, p, g.pairs)
     built = np.zeros_like(jac)
     built[rows, cols] = vals
     assert np.array_equal(built, jac)
@@ -192,13 +192,12 @@ def _dense(seed, p, n, m):
 
 
 def _check_front_end(g):
-    """ker J from kappa's nonzeros is a kernel of the oracle's Jacobi matrix
+    """ker J from the pairing rows' nonzeros is a kernel of the oracle's Jacobi matrix
     of full dimension, and the epicentre is the dense procedure's."""
-    info = center(g)
-    h = g if info.center_equals_derived else _radical_complement(g, info.radical)
+    h = radical_factor(g)
     p, width = h.p, h.n * h.m
     jac = jacobi_matrix(h)
-    rows, cols, vals = _jacobi_entries(h)
+    rows, cols, vals = _jacobi_entries(h.n, p, h.pairs)
     built = np.zeros_like(jac)
     built[rows, cols] = vals
     assert np.array_equal(built, jac)
@@ -229,7 +228,7 @@ def test_row_rule_empties_the_jacobi_system_of_an_extraspecial_group(monkeypatch
     # forced, and no residue is left: ker J is zero, and with it the whole
     # derived subgroup is the epicentre.
     g = _extraspecial(3, 6)
-    rows, cols, vals = _jacobi_entries(g)
+    rows, cols, vals = _jacobi_entries(g.n, g.p, g.pairs)
     assert rows.size == np.unique(rows).size == 60 and (np.bincount(cols) >= 2).all()
     monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 0)
     kernel = kernel_of_entries(rows, cols, vals, (220, 12), 3)
@@ -244,7 +243,7 @@ def test_front_end_on_dense_kappa(seed, p, n, m):
     _check_front_end(g)
     # Nothing is peeled: the kernel is the null rows of J's reduced form,
     # vector for vector, as before the front end.
-    rows, cols, vals = _jacobi_entries(g)
+    rows, cols, vals = _jacobi_entries(g.n, g.p, g.pairs)
     jac = jacobi_matrix(g)
     assert np.array_equal(kernel_of_entries(rows, cols, vals, jac.shape, p), Subspace(p, n * m, jac).complement_projection())
 
@@ -273,8 +272,8 @@ def test_epicentre_of_a_construction_fits_twice_the_nonzeros_of_j(monkeypatch, b
     # basis all pass their checks.
     g = build(_free_class2(3, 12)).output_group
     epicentre = epicentre_in_derived(g)
-    nonzeros = _jacobi_entries(g)[0].size
-    kernel = kernel_of_entries(*_jacobi_entries(g), (math.comb(g.n, 3), g.n * g.m), 3)
+    nonzeros = _jacobi_entries(g.n, g.p, g.pairs)[0].size
+    kernel = kernel_of_entries(*_jacobi_entries(g.n, g.p, g.pairs), (math.comb(g.n, 3), g.n * g.m), 3)
     assert isinstance(kernel, KernelEntries) and kernel.dim * g.n * g.m > 400 * nonzeros
     monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 2 * nonzeros)
     assert epicentre_in_derived(g) == epicentre
@@ -352,6 +351,27 @@ def test_jacobi_criterion_on_the_unsplit_group_is_the_epicentre(seed, r, p):
     g = rebase(direct_product(h, elementary_abelian(p, r)).group, _random_invertible(rng, p, h.n + r))
     assert center(g).radical.dim >= r
     assert jacobi_criterion(g) == epicentre_in_derived(g)
+
+
+def test_radical_factor_is_read_from_the_pairing_rows(monkeypatch):
+    # H is a selection of G's pairing rows: with the centre computed, the
+    # epicentre of G = E x C_3^2 on a non-basis builds no presentation, and
+    # equals the epicentre of H built as a presentation of its own.
+    g = direct_product(extraspecial_p5(3), elementary_abelian(3, 2)).group
+    g = rebase(g, np.triu(np.ones((6, 6), dtype=np.int64)))
+    assert center(g).radical.dim == 2
+    built = []
+    init = GroupPresentation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupPresentation, "__init__", counting)
+    epicentre = epicentre_in_derived(g)
+    monkeypatch.undo()
+    assert built == []
+    assert epicentre == epicentre_in_derived(radical_factor(g)) == Subspace.full(3, 1)
 
 
 # -- named criteria -------------------------------------------------------------------
@@ -482,7 +502,7 @@ def test_rp_and_decomposition_invariant_under_change_of_generators(seed, p):
     )
 
 
-def test_rp_undetermined_above_cap():
+def test_rp_member_decided_by_sym_on_an_amalgam_of_order_3_25():
     # Order 3^25, far above the search's cap: Sym(kappa) decides it, and the
     # same presentation re-read from its file gets the same answer.
     e = extraspecial_p5(3)

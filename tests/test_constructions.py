@@ -7,29 +7,39 @@ import sys
 import numpy as np
 import pytest
 
-from nilp2 import constructions
+from nilp2 import constructions, group_core, products
 from nilp2.capability import central_decomposition, epicentre_in_derived, rp_membership
 from nilp2.constructions import (
-    _image_line,
-    _least_nonzero_commutator,
+    _glued_row,
+    _row_line,
     build_capable_extension,
     build_noncapable_extension,
     extraspecial_p5,
     heisenberg,
     verify_extension,
 )
-from nilp2.errors import NotOddPrime, TrivialInput
+from nilp2.errors import Nilp2Error, NotOddPrime, TrivialInput
 from nilp2.fileformats import format_group, parse_group_text
+from nilp2.fplinalg import Subspace
 from nilp2.group_core import GroupPresentation, cyclic, elementary_abelian, hom_from_images
-from nilp2.products import Identification, central_product_identified, direct_product, nilpotent2_product
+from nilp2.products import (
+    Identification,
+    amalgamated_coproduct,
+    central_product_identified,
+    direct_product,
+    nilpotent2_product,
+)
 from nilp2.selfcheck import _battery_p3, random_presentation, rebase
 from oracles import assert_same_map, compose
 
 
 def test_glued_lines_are_scaled_to_a_leading_one():
     g = GroupPresentation(5, 3, 2, {(2, 1): (0, 3), (3, 1): (4, 2)})
-    assert _least_nonzero_commutator(g) == (0, 1)
-    assert _image_line(hom_from_images(g, g, g.generators()), (4, 2), 5) == (1, 3)
+    assert _glued_row(g) == 0
+    assert _row_line(g, 0) == (0, 1)
+    assert _row_line(g, 1) == (1, 3)
+    with pytest.raises(Nilp2Error, match="no nonzero commutators"):
+        _glued_row(elementary_abelian(5, 3))
 
 
 def test_heisenberg_builder():
@@ -184,26 +194,30 @@ def test_verify_detects_corrupted_presentation():
 
 @pytest.mark.parametrize("side", ["input", "output"])
 @pytest.mark.parametrize(("edit", "message"), [("entry", "outside [0, 3)"), ("column", "span")])
-def test_verify_detects_rows_edited_in_place(side, edit, message):
-    # pairs owns its data, so its write flag can be set again and the rows
-    # edited under the cached tables, which the other checks keep reading.
+def test_verify_detects_rows_edited_in_place(monkeypatch, side, edit, message):
+    # The rows cannot be made writeable, so the edited rows are put in the
+    # slot, under the cached tables and hash.
     rep = build_noncapable_extension(heisenberg(3))
-    pairs = getattr(rep, f"{side}_group").pairs
-    saved = pairs.copy()
-    pairs.flags.writeable = True
-    try:
-        if edit == "entry":
-            pairs[tuple(np.argwhere(pairs)[0])] = 3
-        else:
-            pairs[:, 0] = 0
-        checks = verify_extension(rep).checks
-    finally:
-        pairs[...] = saved
-        pairs.flags.writeable = False
-    failing = {name: detail for name, ok, detail in checks if not ok}
+    group = getattr(rep, f"{side}_group")
+    with pytest.raises(ValueError):
+        group.pairs.flags.writeable = True
+    pairs = group.pairs.copy()
+    if edit == "entry":
+        pairs[tuple(np.argwhere(pairs)[0])] = 3
+    else:
+        pairs[:, 0] = 0
+    monkeypatch.setattr(group, "pairs", pairs)
+    failing = {name: detail for name, ok, detail in verify_extension(rep).checks if not ok}
     # The embedding's consistency is solved from the input's rows, so an
-    # edited input fails it too.
-    expected = {"output_valid"} if side == "output" else {"input_valid", "embedding_mono"}
+    # edited input fails it too.  The epicentre reads the output's rows:
+    # with a derived coordinate cleared from every row, the output is
+    # capable and the glued line leaves the epicentre.
+    expected = {
+        ("input", "entry"): {"input_valid", "embedding_mono"},
+        ("input", "column"): {"input_valid", "embedding_mono"},
+        ("output", "entry"): {"output_valid"},
+        ("output", "column"): {"output_valid", "capability_matches", "identified_in_epicentre"},
+    }[side, edit]
     assert set(failing) == expected
     assert message in failing[f"{side}_valid"]
 
@@ -312,7 +326,7 @@ def _composite_embedding(rep):
     if rep.mode == "capable":
         last = nilpotent2_product(base, free2)
     else:
-        glued = _least_nonzero_commutator(base)
+        glued = _row_line(base, _glued_row(base))
         cp = central_product_identified(base, free2, Identification(base, free2, (glued,), ((1,),)))
         f = compose(f, cp.embed_left)
         last = nilpotent2_product(cp.group, extraspecial_p5(g.p))
@@ -337,6 +351,61 @@ def test_report_embedding_is_the_composite_through_the_intermediate_products():
     for g in inputs:
         for rep in (build_capable_extension(g), build_noncapable_extension(g)):
             assert_same_map(rep.embedding, _composite_embedding(rep))
+
+
+def _branch_inputs():
+    """The p = 3 battery and random presentations of rank 1 to 4 at p = 3,
+    5 and 7, which between them take all four branches."""
+    rng = random.Random(78)
+    return list(_battery_p3()) + [_random_of_rank(rng, p, n) for p in (3, 5, 7) for n in range(1, 5)]
+
+
+def _unit_line(p, vec):
+    """vec mod p, scaled to a leading 1."""
+    return Subspace(p, len(vec), [vec]).basis_tuples()[0]
+
+
+def test_row_read_glue_is_the_inclusions_image_of_the_glued_commutator():
+    # The oracle glues along the images that the inclusions into each
+    # product, solved by hom_from_images, give the base's least nonzero
+    # commutator, and pushes it into the output the same way.
+    branches = set()
+    for g in _branch_inputs():
+        p = g.p
+        for rep in (build_capable_extension(g), build_noncapable_extension(g)):
+            branches.add((rep.mode, rep.branch))
+            base = g if rep.branch in ("nonabelian_capable", "nonabelian") else nilpotent2_product(g, cyclic(p)).group
+            glued = _unit_line(p, base.c_items[0][1])
+            free2 = heisenberg(p)
+            if rep.mode == "capable":
+                out = amalgamated_coproduct(base, free2, Identification(base, free2, (glued,), ((1,),))).group
+            else:
+                cp = central_product_identified(base, free2, Identification(base, free2, (glued,), ((1,),)))
+                mid = _unit_line(p, cp.embed_left.commutator_matrix @ np.array(glued))
+                wide = extraspecial_p5(p)
+                out = amalgamated_coproduct(cp.group, wide, Identification(cp.group, wide, (mid,), ((1,),))).group
+            assert rep.output_group == out
+            inclusion = hom_from_images(base, out, out.generators()[: base.n])
+            assert rep.identified_vector == _unit_line(p, inclusion.commutator_matrix @ np.array(glued))
+    assert branches == set(constructions.BOUND_BY_BRANCH)
+
+
+@pytest.mark.parametrize("build", [build_capable_extension, build_noncapable_extension])
+def test_each_construction_solves_one_homomorphism(monkeypatch, build):
+    # Only the report's embedding is solved; every glued line is read from
+    # a product's pairing rows.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return hom_from_images(*args)
+
+    for module in (constructions, products, group_core):
+        monkeypatch.setattr(module, "hom_from_images", counting)
+    for g in _branch_inputs():
+        calls.clear()
+        rep = build(g)
+        assert len(calls) == 1 and calls[0][:2] == (g, rep.output_group)
 
 
 PAPER_SCALE = """

@@ -122,6 +122,19 @@ def test_pairing_rows_are_the_tril_order():
     assert g.c_items == (((2, 1), (1, 0, 0)), ((4, 2), (0, 1, 0)), ((4, 3), (0, 2, 1)))
 
 
+@pytest.mark.parametrize("built_from", ["mapping", "array"])
+def test_rows_and_tables_cannot_be_made_writeable(built_from):
+    c = {(2, 1): (1, 0), (3, 2): (0, 2)}
+    g = GroupPresentation(5, 3, 2, c if built_from == "mapping" else np.array([[1, 0], [0, 0], [0, 2]]))
+    for arr in (g.pairs, g.kappa_table(), g.delta_table()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    assert g == GroupPresentation(5, 3, 2, c)
+
+
 def test_validate_array_input():
     rows = np.array([[1], [0], [2]], dtype=np.int64)
     assert GroupPresentation(3, 3, 1, rows) == GroupPresentation(3, 3, 1, {(2, 1): (1,), (3, 2): (2,)})
