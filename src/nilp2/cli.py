@@ -5,7 +5,10 @@ validation or cannot be read, decoded or parsed, an output that cannot
 be written, or an array sized from the input (a group's tables, an
 epicentre's Jacobi residue, dense kernel basis or kernel entries) above
 ``fplinalg.RESIDUE_CELL_LIMIT`` = 2^24 cells, refused with
-``ResidueTooLarge`` before it is allocated, 3 verification failure.  Every
+``ResidueTooLarge`` before it is allocated, 3 verification failure.  The
+epicentre's budgets still refuse a group whose Jacobi system does not peel
+in the derived coordinates it is solved in: the commutators' own where
+those cannot be denser, the given ones otherwise.  Every
 error is one `error:` line on stderr, after the usage when argparse rejects
 the arguments.  Each command fixes its key order in one dict, which one
 writer prints as `key = value` lines, so identical inputs produce

@@ -97,13 +97,15 @@ class GroupPresentation:
 
     Immutable.  c is a mapping {(j, i): vector}, checked pair by pair, or
     the pairing rows as an int64 array, checked in one pass and taken over.
-    Equality and hashing use (p, n, m, pairs), not the label.
+    Equality and hashing use (p, n, m, pairs), not the label.  No slot can
+    be assigned or deleted: ``__init__`` and the caches derived from
+    ``pairs`` set theirs through ``object.__setattr__``.
     """
 
     __slots__ = ("p", "n", "m", "pairs", "label", "_c_items", "_kappa", "_delta", "_center", "_hash")
 
     def __init__(self, p, n, m, c=None, label=""):
-        self.p = p = check_odd_prime(p)
+        p = check_odd_prime(p)
         n, m = int(n), int(m)
         if n < 0 or m < 0:
             raise Nilp2Error("generator and commutator counts must be nonnegative")
@@ -142,9 +144,15 @@ class GroupPresentation:
             if len(pivots) != m:
                 raise SpanDeficit(len(pivots), m)
         pairs.flags.writeable = False
-        self.n, self.m, self.pairs = n, m, pairs.view()
-        self.label = str(label)
-        self._c_items = self._kappa = self._delta = self._center = self._hash = None
+        # The slots in order; the caches, from _c_items on, start empty.
+        for name, value in itertools.zip_longest(self.__slots__, (p, n, m, pairs.view(), str(label))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroupPresentation is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GroupPresentation is immutable: cannot delete {name}")
 
     # -- basic structure -------------------------------------------------
 
@@ -154,7 +162,8 @@ class GroupPresentation:
         if self._c_items is None and self.m:  # with m = 0 there are none
             rows = np.flatnonzero(self.pairs.any(axis=1))
             j, i = (x[rows] + 1 for x in np.tril_indices(self.n, -1))
-            self._c_items = tuple(zip(zip(j.tolist(), i.tolist()), map(tuple, self.pairs[rows].tolist())))
+            items = tuple(zip(zip(j.tolist(), i.tolist()), map(tuple, self.pairs[rows].tolist())))
+            object.__setattr__(self, "_c_items", items)
         return self._c_items or ()
 
     @property
@@ -184,7 +193,7 @@ class GroupPresentation:
                 k[j, i] = self.pairs
                 k[i, j] = np.mod(-self.pairs, self.p)
             k.flags.writeable = False
-            self._kappa = k.view()
+            object.__setattr__(self, "_kappa", k.view())
         return self._kappa
 
     def delta_table(self) -> np.ndarray:
@@ -194,7 +203,7 @@ class GroupPresentation:
             if self.m:
                 d[np.tril_indices(self.n, -1)] = self.pairs
             d.flags.writeable = False
-            self._delta = d.view()
+            object.__setattr__(self, "_delta", d.view())
         return self._delta
 
     # -- elements ---------------------------------------------------------
@@ -243,7 +252,7 @@ class GroupPresentation:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.p, self.n, self.m, self.pairs.tobytes()))
+            object.__setattr__(self, "_hash", hash((self.p, self.n, self.m, self.pairs.tobytes())))
         return self._hash
 
     def __repr__(self):
@@ -389,7 +398,7 @@ def center(group: GroupPresentation) -> CenterInfo:
         # v is central iff kappa(v, e_i) = 0 for every i.
         mat = kap.transpose(1, 2, 0).reshape(n * m, n)
         radical = Subspace(group.p, n, kernel_basis(mat, group.p))
-        group._center = CenterInfo(radical, radical.dim == 0)
+        object.__setattr__(group, "_center", CenterInfo(radical, radical.dim == 0))
     return group._center
 
 

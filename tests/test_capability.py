@@ -22,7 +22,7 @@ from nilp2.constructions import (
     extraspecial_p5,
     heisenberg,
 )
-from nilp2 import fplinalg
+from nilp2 import capability, fplinalg
 from nilp2.errors import OrderExceedsCap, PreconditionCenterNotDerived, ResidueTooLarge, SpanDeficit
 from nilp2.fileformats import format_group, parse_group_text
 from nilp2.fplinalg import KernelEntries, Subspace, kernel_of_entries, rref
@@ -279,6 +279,38 @@ def test_epicentre_of_a_construction_fits_twice_the_nonzeros_of_j(monkeypatch, b
     assert epicentre_in_derived(g) == epicentre
 
 
+def test_derived_coordinates_change_only_where_the_rows_cannot_get_denser(monkeypatch):
+    # The change of derived coordinates is epicentre_in_derived's only
+    # elimination of its own: one rref of the m x C(n, 2) rows transposed.
+    # It runs on a rebased free group, on a top ladder rung and on a
+    # noncapable output moved by a dense change of derived coordinates,
+    # whose rows are dense, and not on rows that are already unit vectors or
+    # nearly so.  The moved output's epicentre is a line, so it is mapped
+    # back.
+    free = _free_class2(3, 8)
+    rebased = rebase(free, _random_invertible(random.Random(0), 3, 8))
+    rung = _dense(7, 3, 8, 27)
+    outputs = [build(free).output_group for build in (build_capable_extension, build_noncapable_extension)]
+    q = _random_invertible(random.Random(1), 3, outputs[1].m)
+    moved = GroupPresentation(3, outputs[1].n, outputs[1].m, np.mod(outputs[1].pairs @ q, 3))
+    line = epicentre_in_derived(outputs[1])
+    assert line.dim == 1
+    calls = []
+
+    def counting(a, p):
+        calls.append(a.shape)
+        return rref(a, p)
+
+    monkeypatch.setattr(capability, "rref", counting)
+    for g, fires in [(rebased, True), (rung, True), (moved, True), (free, False)] + [(out, False) for out in outputs]:
+        calls.clear()
+        epicentre = epicentre_in_derived(g)
+        assert calls == ([(g.m, math.comb(g.n, 2))] if fires else [])
+        assert epicentre == dense_epicentre(g)
+    assert epicentre_in_derived(rebased) == epicentre_in_derived(free) == Subspace.zero(3, 28)
+    assert epicentre_in_derived(moved) == Subspace(3, moved.m, np.mod(line.basis @ q, 3))
+
+
 # -- invariance under a change of generators --------------------------------------
 
 
@@ -315,6 +347,11 @@ def test_epicentre_and_verdict_invariant_under_change_of_generators(seed, n, p, 
     assert center(h).center_equals_derived
     assert epicentre_in_derived(h).dim == epicentre_in_derived(g).dim
     assert capability_verdict(h).status == capability_verdict(g).status
+    # J is linear in the derived coordinates: with the rows pairs Q, the
+    # epicentre is the original's times Q.
+    q = _random_invertible(rng, p, m)
+    k = GroupPresentation(p, n, m, np.mod(g.pairs @ q, p))
+    assert epicentre_in_derived(k) == Subspace(p, m, np.mod(epicentre_in_derived(g).basis @ q, p))
 
 
 @settings(max_examples=40, deadline=None)

@@ -194,20 +194,27 @@ def test_verify_detects_corrupted_presentation():
 
 @pytest.mark.parametrize("side", ["input", "output"])
 @pytest.mark.parametrize(("edit", "message"), [("entry", "outside [0, 3)"), ("column", "span")])
-def test_verify_detects_rows_edited_in_place(monkeypatch, side, edit, message):
-    # The rows cannot be made writeable, so the edited rows are put in the
-    # slot, under the cached tables and hash.
+def test_verify_detects_rows_edited_in_place(side, edit, message):
+    # Neither the rows nor the slot can be written, so the edited rows are
+    # planted under the cached tables and hash past __setattr__, and the
+    # original rows are put back afterwards.
     rep = build_noncapable_extension(heisenberg(3))
     group = getattr(rep, f"{side}_group")
     with pytest.raises(ValueError):
         group.pairs.flags.writeable = True
-    pairs = group.pairs.copy()
+    original = group.pairs
+    pairs = original.copy()
     if edit == "entry":
         pairs[tuple(np.argwhere(pairs)[0])] = 3
     else:
         pairs[:, 0] = 0
-    monkeypatch.setattr(group, "pairs", pairs)
-    failing = {name: detail for name, ok, detail in verify_extension(rep).checks if not ok}
+    with pytest.raises(AttributeError):
+        group.pairs = pairs
+    object.__setattr__(group, "pairs", pairs)
+    try:
+        failing = {name: detail for name, ok, detail in verify_extension(rep).checks if not ok}
+    finally:
+        object.__setattr__(group, "pairs", original)
     # The embedding's consistency is solved from the input's rows, so an
     # edited input fails it too.  The epicentre reads the output's rows:
     # with a derived coordinate cleared from every row, the output is
@@ -429,6 +436,16 @@ with open("/proc/self/status") as status:
 """
 
 
+def _fresh_process(script, *args):
+    """The stdout lines of ``script`` run in a fresh interpreter on this
+    checkout's nilp2."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(constructions.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    return proc.stdout.splitlines()
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
 def test_constructions_over_the_free_group_of_rank_24_stay_under_300_mb():
     # The noncapable output is (30, 380), and a dense basis of its ker J
@@ -436,11 +453,47 @@ def test_constructions_over_the_free_group_of_rank_24_stay_under_300_mb():
     # 1.3 GB.  On entries both builds and both verifications peak below
     # 300 MB.  A fresh process, whose VmHWM is its own peak; its ru_maxrss
     # would also count the test process's peak, which the exec inherits.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(constructions.__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", PAPER_SCALE], capture_output=True, text=True, check=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
-    lines = proc.stdout.splitlines()
+    lines = _fresh_process(PAPER_SCALE)
     assert lines[:2] == ["capable 26 324 True 0", "noncapable 30 380 True 1"]
     peak = int(lines[2].split()[1])
+    assert peak < 300, f"peak RSS {peak} MB"
+
+
+REBASED_FREE = """
+import re
+import sys
+
+import numpy as np
+
+from nilp2.capability import epicentre_in_derived
+from nilp2.fplinalg import Subspace
+from nilp2.group_core import from_kappa
+from nilp2.selfcheck import rebase
+
+n = int(sys.argv[1])
+kap = np.zeros((n, n, n * (n - 1) // 2), dtype=np.int64)
+kap[np.tri(n, k=-1, dtype=bool), np.arange(kap.shape[2])] = 1
+free = from_kappa(3, kap)
+rng = np.random.default_rng(1)
+lower = np.tril(rng.integers(0, 3, (n, n)), -1) + np.eye(n, dtype=np.int64)
+upper = np.triu(rng.integers(0, 3, (n, n)), 1) + np.eye(n, dtype=np.int64)
+g = rebase(free, lower @ upper % 3)
+epicentre = epicentre_in_derived(g)
+print(2 * np.count_nonzero(g.pairs) > g.pairs.size, epicentre == epicentre_in_derived(free) == Subspace.zero(3, g.m))
+with open("/proc/self/status") as status:
+    print("peak_mb", int(re.search(r"VmHWM:\\s+(\\d+) kB", status.read()).group(1)) // 1024)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
+@pytest.mark.parametrize("n", [23, 24])
+def test_epicentre_of_the_free_group_on_a_dense_basis_stays_under_300_mb(n):
+    # On a random basis the pairing rows are dense, J peels nowhere, and its
+    # dense null rows alone would be 4,048 x 5,819 (rank 23) or
+    # 4,600 x 6,624 (rank 24) cells, past RESIDUE_CELL_LIMIT.  In the
+    # coordinates where the first C(n, 2) independent commutators are unit
+    # vectors, the rows are the standard basis's and J peels entirely.
+    lines = _fresh_process(REBASED_FREE, str(n))
+    assert lines[0] == "True True"
+    peak = int(lines[1].split()[1])
     assert peak < 300, f"peak RSS {peak} MB"

@@ -135,6 +135,25 @@ def test_rows_and_tables_cannot_be_made_writeable(built_from):
     assert g == GroupPresentation(5, 3, 2, c)
 
 
+@pytest.mark.parametrize("name", ["pairs", "_kappa", "_center", "label", "_hash"])
+def test_slots_cannot_be_reassigned_or_deleted(name):
+    # The caches derived from the rows fill in past __setattr__; no slot can
+    # be assigned or deleted, before or after they are filled.
+    g = GroupPresentation(5, 3, 2, {(2, 1): (1, 0), (3, 2): (0, 2)})
+    other = GroupPresentation(5, 3, 2, {(2, 1): (0, 1), (3, 1): (1, 0)})
+    for filled in (False, True):
+        if filled:
+            g.c_items, g.kappa_table(), g.delta_table(), center(g), hash(g)
+        before = getattr(g, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(g, name, getattr(other, name))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(g, name)
+        assert getattr(g, name) is before
+    assert g._kappa is g.kappa_table() and g._center is center(g) and g._hash == hash(g)
+    assert np.array_equal(g.kappa_table(), GroupPresentation(5, 3, 2, g.pairs).kappa_table())
+
+
 def test_validate_array_input():
     rows = np.array([[1], [0], [2]], dtype=np.int64)
     assert GroupPresentation(3, 3, 1, rows) == GroupPresentation(3, 3, 1, {(2, 1): (1,), (3, 2): (2,)})
