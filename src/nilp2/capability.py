@@ -17,19 +17,18 @@ when g (x) e_i is orthogonal to ker J for the C(n, 3) x nm matrix J of
 the J(i, j, k).  J is built once, as ``_jacobi_entries`` from the pairing
 rows' nonzeros; ``jacobi_subspace`` is the row space of those entries.  ker J
 comes from ``fplinalg.kernel_of_entries``, which peels singleton columns
-and rows with one entry and hands only the dense residue to ``rref``, and
-the epicentre is the common kernel of the column slices (beta[t*n + i])_t
-of a basis of ker J.  Construction outputs have at most 3 nonzeros per row
-of J and peel entirely.  Then ker J comes back as entries, the stacked
-slices are built from them, one row (i, beta) per generator and basis
-vector that meet, and the same kernel solves them: on construction outputs
-nearly every stacked row has one entry, and the row rule empties the
-system.  So no dense basis of ker J, d x nm with d = nm - rank J, is
-built: for the noncapable output over the free class-2 group of rank 24
-it would be 7,340 x 11,400 int64 cells, 669 MB.  On dense kappa nothing
-peels: J's rows with entries are eliminated whole, as they are when J is
-small, and the stacked slices of the dense null rows go to
-``kernel_basis``.
+and rows with one entry, hands only the dense residue to ``rref`` and
+returns a basis of d = nm - rank J vectors as entries.  The epicentre is
+the common kernel of the column slices (beta[t*n + i])_t of that basis:
+the stacked slices are built from the entries, row i*d + r holding
+vector r's slots of generator i, and the same kernel solves them.
+Construction outputs have at most 3 nonzeros per row of J and peel
+entirely, and nearly every stacked row has one entry, so the row rule
+empties the system.  So no dense d x nm basis of ker J is built: for the
+noncapable output over the free class-2 group of rank 24 it would be
+7,340 x 11,400 int64 cells, 669 MB.  On dense kappa nothing peels: J's
+rows with entries are eliminated whole, as they are when J is small, and
+ker J still comes back as at most d x nm entries.
 
 Whether J peels depends on the derived coordinates, not on the group.  J
 is linear in them: with the rows pairs Q for an invertible Q, J's row space
@@ -43,13 +42,11 @@ epicentre is computed there, where its rows cannot be denser, and its basis
 is mapped back by B; ``Subspace`` keeps the reduced echelon basis, so the
 result is the same array.  At m = C(n, 2) those are the free class-2
 group's standard rows on any generators, and J peels entirely: on a random
-basis of rank 24 at p = 3 the dense null rows alone would be
-4,600 x 6,624 cells and are refused, while the epicentre takes 0.02 s.  On
-the benchmark ladder's dense kappa the top rungs (m = C(n, 2) - 1) take
-0.19-0.68x as long and the whole ladder 0.85x; the middle rungs, which pay
-the extra elimination and peel little or nothing, take 1.0-1.24x
-(2-core machine, Python 3.11).  Construction outputs, already near unit
-rows, and the extraspecial groups, at m = 1, never pass the test.
+basis of rank 24 at p = 3, J in the given coordinates peels nowhere and its
+residue alone is 2,024 x 6,624 cells, while the epicentre takes 0.02 s.
+The ladder's middle rungs pay the extra elimination and peel little or
+nothing.  Construction outputs, already near unit rows, and the
+extraspecial groups, at m = 1, never pass the test.
 
 When Z(G) > G', G = H x C_p^r, where r is the dimension of the radical R
 of kappa and H is generated by the generators at the non-pivot columns of
@@ -208,32 +205,17 @@ def epicentre_in_derived(group: GroupPresentation) -> Subspace:
         r, pivots = rref(pairs.T, p)
         back, pairs = pairs[pivots], r.T
     kernel = kernel_of_entries(*_jacobi_entries(n, p, pairs), (math.comb(n, 3), m * n), p)
-    if isinstance(kernel, np.ndarray):
-        if kernel.shape[0] == 0:
-            # J spans everything, so every g qualifies; kept: 55 of 88 ladder verdicts, 3-5 ms.
-            return Subspace.full(p, m)
-        # slices[i, r] = kernel[r, i::n], the slots t*n + i of generator i.
-        # Zero rows constrain nothing.  The kernel is column-major, so its
-        # transpose reshapes without a copy, and the mask gathers the
-        # stacked rows in one allocation, no larger than the kernel.
-        slices = kernel.T.reshape(m, n, -1).transpose(1, 2, 0)
-        basis = kernel_basis(slices[slices.any(axis=2)], p)
-    elif kernel.dim == 0:
+    if kernel.dim == 0:
+        # J spans everything, so every g qualifies; kept: 55 of 88 ladder verdicts, 3-5 ms.
         return Subspace.full(p, m)
-    else:
-        # Row (i, r) of the stacked system holds kernel vector r's slots
-        # t*n + i in column t; only rows with entries are numbered.  On
-        # construction outputs nearly every row has one entry, and the row
-        # rule empties it.
-        t, i = np.divmod(kernel.column, n)
-        keys, rows = np.unique(i * kernel.dim + kernel.vector, return_inverse=True)
-        common = kernel_of_entries(rows, t, kernel.value, (keys.size, m), p)
-        if isinstance(common, np.ndarray):
-            basis = common
-        else:
-            check_cells((common.dim, m), "epicentre basis")
-            basis = np.zeros((common.dim, m), dtype=np.int64)
-            basis[common.vector, common.column] = common.value
+    # Row i * dim + r of the stacked system holds kernel vector r's slots
+    # t*n + i in column t.  On construction outputs nearly every row has one
+    # entry, and the row rule empties it.
+    t, i = np.divmod(kernel.column, n)
+    common = kernel_of_entries(i * kernel.dim + kernel.vector, t, kernel.value, (n * kernel.dim, m), p)
+    check_cells((common.dim, m), "epicentre basis")
+    basis = np.zeros((common.dim, m), dtype=np.int64)
+    basis[common.vector, common.column] = common.value
     if back is not None:
         basis = np.mod(basis @ back, p)
     return Subspace(p, m, basis)

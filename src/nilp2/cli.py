@@ -3,7 +3,7 @@
 Exit codes: 0 a verdict was computed, 1 usage error, 2 an input that fails
 validation or cannot be read, decoded or parsed, an output that cannot
 be written, or an array sized from the input (a group's tables, an
-epicentre's Jacobi residue, dense kernel basis or kernel entries) above
+epicentre's Jacobi residue or kernel entries) above
 ``fplinalg.RESIDUE_CELL_LIMIT`` = 2^24 cells, refused with
 ``ResidueTooLarge`` before it is allocated, 3 verification failure.  The
 epicentre's budgets still refuse a group whose Jacobi system does not peel

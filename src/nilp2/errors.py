@@ -71,9 +71,11 @@ class BadMagic(Nilp2Error):
 
 
 class ParseError(Nilp2Error):
+    """A malformed input file; ``line_no`` is None for a fault of no one line."""
+
     def __init__(self, line_no, message):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
 class ResidueTooLarge(Nilp2Error):

@@ -181,5 +181,5 @@ def parse_generator_map_text(
         images[k] = codomain.element(v, w)
     missing = [k for k in range(1, domain.n + 1) if k not in images]
     if missing:
-        raise ParseError(0, f"missing images for generators {missing}")
+        raise ParseError(None, f"missing images for generators {missing}")
     return hom_from_images(domain, codomain, [images[k] for k in range(1, domain.n + 1)])

@@ -46,13 +46,13 @@ again: a min and a max cost about a tenth of a reduction pass.
 Sparse kernels.  ``kernel_of_entries`` takes a matrix as its nonzero
 entries and peels it by structured Gaussian elimination before ``rref``
 sees the rest: a column with one entry pivots its row, and a row with one
-entry forces its column to zero.  When a round peeled, the basis is built
-by back-substitution on entries and returned as entries, a
-``KernelEntries``; otherwise it is the dense null rows of the residue's
-reduced form.  The dense residue and the dense null rows are refused with
-ResidueTooLarge above RESIDUE_CELL_LIMIT cells before they are allocated,
-and each gather of the back-substitution is refused before it is
-allocated once it and the entries held exceed RESIDUE_CELL_LIMIT.
+entry forces its column to zero.  The basis is the residue's null rows,
+extended by back-substitution over the peeled rows, and it is returned as
+entries, a ``KernelEntries``, whether or not anything peeled.  The dense
+residue is refused with ResidueTooLarge above RESIDUE_CELL_LIMIT cells
+before it is allocated, and the basis entries, and each gather of the
+back-substitution, before they are allocated once they and the entries
+held exceed RESIDUE_CELL_LIMIT.
 
 Every sum of products of residues must stay below 2^63.  ``rref`` refuses
 a modulus with (p - 1)^2 + p >= 2^63, and ``Subspace`` one with
@@ -103,6 +103,11 @@ def is_odd_prime(p) -> bool:
 
 
 def check_odd_prime(p) -> int:
+    """p as an int.  Refused with ModulusTooLarge when (p - 1)^2 + p >= 2^63,
+    the bound of ``rref``, before the trial division, which takes up to
+    sqrt(p) / 2 steps; with NotOddPrime unless an odd prime."""
+    if isinstance(p, (int, np.integer)) and p > 2:
+        check_int64((int(p) - 1) ** 2 + int(p), int(p), "arithmetic")
     if not is_odd_prime(p):
         raise NotOddPrime(f"modulus must be an odd prime, got {p!r}")
     return int(p)
@@ -296,13 +301,12 @@ def rref(a: np.ndarray, p: int):
     return out, pivots
 
 
-def _null_rows(r: np.ndarray, pivots, cols: int, p: int, order="C") -> np.ndarray:
+def _null_rows(r: np.ndarray, pivots, cols: int, p: int) -> np.ndarray:
     """Rows e_f - sum_i r[i, f] e_{pivots[i]}, one per non-pivot column f:
-    a basis of the right null space of the echelon rows r, in the given
-    memory order."""
+    a basis of the right null space of the echelon rows r."""
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
-    out = np.zeros((len(free), cols), dtype=np.int64, order=order)
+    out = np.zeros((len(free), cols), dtype=np.int64)
     if free:  # kept: the empty assignments cost 8 us on 55/32/16 calls per pass
         out[np.arange(len(free)), free] = 1
         out[:, list(pivots)] = np.mod(-r[: len(pivots)][:, free].T, p)
@@ -367,34 +371,30 @@ def kernel_of_entries(rows, cols, vals, shape, p: int):
     hold one.  The live rows, over the columns that still meet them, form
     the dense residue, which ``rref`` eliminates once; a residue above
     RESIDUE_CELL_LIMIT cells is refused before it is allocated.  Rows
-    without entries are never live.
+    without entries are never live, and columns without entries are free.
+    A matrix of at most _PEEL_MIN_CELLS cells, or one where no round
+    applies a rule, goes to ``rref`` whole, less those rows and columns.
 
-    When no round applies a rule, or the matrix has at most
-    _PEEL_MIN_CELLS cells and is not peeled, the residue is the rows with
-    entries over all columns, and the basis is ``_null_rows`` of its
-    reduced form: a dense (dim, ncols) array stored column-major, refused
-    above RESIDUE_CELL_LIMIT cells before it is allocated.  On dense input,
-    where nothing peels, entries would take 1.25-1.9x as long.
-
-    Otherwise the basis is a ``KernelEntries``, and no dense (dim, ncols)
-    array is built.  It holds one vector per free column f, in increasing
-    order: a column that is no peeled, forced or residue pivot.  The vector
-    is 1 at f, the residue's null row of f on the residue's columns (zero
-    unless f is one of them), and at each peeled pivot the value its row
-    forces, found in reverse round order: for each other entry (v, c) of
-    the row, every basis entry in column c, found by ``searchsorted`` on
-    the sorted columns, adds -v / (pivot value) times its value at the
-    pivot, and the sums of a vector's terms are reduced mod p.  The first
-    entries, and each gather with the entries held so far, are refused
-    before they are allocated above RESIDUE_CELL_LIMIT.
+    The basis is a ``KernelEntries``, and no dense (dim, ncols) array is
+    built.  It holds one vector per free column f, in increasing order: a
+    column that is no peeled, forced or residue pivot.  The vector is 1 at
+    f, the residue's null row of f on the residue's columns (zero unless f
+    is one of them), and at each peeled pivot the value its row forces,
+    found in reverse round order: for each other entry (v, c) of the row,
+    every basis entry in column c, found by ``searchsorted`` on the sorted
+    columns, adds -v / (pivot value) times its value at the pivot, and the
+    sums of a vector's terms are reduced mod p.  The first entries, and
+    each gather with the entries held so far, are refused before they are
+    allocated above RESIDUE_CELL_LIMIT.  The first entries number at most
+    dim * ncols, the cells of the dense basis.
     """
     p = int(p)
     nrows, ncols = shape
     check_int64(ncols * (p - 1) ** 2 + p, p, "kernel")
     forced = np.zeros(ncols, dtype=bool)  # columns a row of one entry sets to zero
     rounds = []
+    counts = np.bincount(cols, minlength=ncols)
     while nrows * ncols > _PEEL_MIN_CELLS:  # small matrices are not peeled
-        counts = np.bincount(cols, minlength=ncols)
         lone = np.bincount(rows, minlength=nrows)[rows] == 1
         single = (counts[cols] == 1) & ~lone
         if not (lone.any() or single.any()):
@@ -410,20 +410,18 @@ def kernel_of_entries(rows, cols, vals, shape, p: int):
         rounds.append((taken, cols[at], vals[at], rows[rest], cols[rest], vals[rest]))
         keep = ~(gone | zero)
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        counts = np.bincount(cols, minlength=ncols)
     live = np.zeros(nrows, dtype=bool)  # rows without entries constrain nothing
     live[rows] = True
-    res_cols = np.flatnonzero(counts) if rounds else np.arange(ncols)
+    res_cols = np.flatnonzero(counts)
     dims = (np.count_nonzero(live), res_cols.size)
     check_cells(dims, "dense residue")
     # At their positions within the residue; the position arrays are
     # freed before the elimination.
     residue = np.zeros(dims, dtype=np.int64)
-    residue[np.cumsum(live)[rows] - 1, np.cumsum(counts > 0)[cols] - 1 if rounds else cols] = vals
+    residue[np.cumsum(live)[rows] - 1, np.cumsum(counts > 0)[cols] - 1] = vals
     r, pivots = rref(residue, p)
     del residue  # rref returned a fresh array; the basis is built beside it
-    if not rounds:
-        check_cells((ncols - len(pivots), ncols), "kernel basis")
-        return _null_rows(r, pivots, ncols, p, order="F")
     fixed = forced
     fixed[res_cols[pivots]] = True
     for taken, pcols, *_ in rounds:
@@ -431,17 +429,18 @@ def kernel_of_entries(rows, cols, vals, shape, p: int):
     free = np.flatnonzero(~fixed)
     dim = free.size
     # The residue's null rows, -r[i, f] at its pivot i for each of its free
-    # columns f, beside 1 at every free column.
-    res_free = np.delete(np.arange(res_cols.size), pivots)
-    null = np.mod(-r[: len(pivots), res_free], p)
+    # columns f (no residue column is forced or peeled), beside 1 at every
+    # free column.
+    res_free = np.flatnonzero(~fixed[res_cols])
+    null = r[: len(pivots), res_free]
+    del r
     i, j = np.nonzero(null)
     check_cells((dim + i.size,), "kernel basis entries")
     # The basis entries as the rows (column, vector, value), sorted by column.
-    entries = np.array([
-        np.concatenate([free, res_cols[pivots][i]]),
-        np.concatenate([np.arange(dim), np.searchsorted(free, res_cols[res_free][j])]),
-        np.concatenate([np.ones(dim, dtype=np.int64), null[i, j]]),
-    ])
+    entries = np.empty((3, dim + i.size), dtype=np.int64)
+    entries[:, :dim] = free, np.arange(dim), np.ones(dim, dtype=np.int64)
+    entries[:, dim:] = res_cols[pivots][i], np.searchsorted(free, res_cols[res_free])[j], p - null[i, j]
+    del null, i, j
     entries = entries[:, np.argsort(entries[0], kind="stable")]
     for taken, pcols, pvals, erows, ecols, evals in reversed(rounds):
         # x[pivot] = -sum(v * x[c]) / (pivot value), over the row's other

@@ -244,9 +244,7 @@ def reference_tables(group: GroupPresentation):
 
 def densify(kernel, cols: int) -> np.ndarray:
     """A basis from ``kernel_of_entries`` as a dense (dim, cols) array: the
-    array itself, or the entries of a ``KernelEntries`` scattered."""
-    if isinstance(kernel, np.ndarray):
-        return kernel
+    entries of its ``KernelEntries`` scattered."""
     out = np.zeros((kernel.dim, cols), dtype=np.int64)
     out[kernel.vector, kernel.column] = kernel.value
     return out

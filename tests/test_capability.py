@@ -245,7 +245,29 @@ def test_front_end_on_dense_kappa(seed, p, n, m):
     # vector for vector, as before the front end.
     rows, cols, vals = _jacobi_entries(g.n, g.p, g.pairs)
     jac = jacobi_matrix(g)
-    assert np.array_equal(kernel_of_entries(rows, cols, vals, jac.shape, p), Subspace(p, n * m, jac).complement_projection())
+    kernel = densify(kernel_of_entries(rows, cols, vals, jac.shape, p), n * m)
+    assert np.array_equal(kernel, Subspace(p, n * m, jac).complement_projection())
+
+
+def test_dense_kappa_that_does_not_peel_fits_the_budget_of_its_dense_null_rows(monkeypatch):
+    # Dense kappa, n = 7 and m = 12 at p = 5: J is 35 x 84, no column or row
+    # of it has one entry, and it is eliminated whole.  As dense null rows
+    # its kernel is 49 x 84 = 4,116 cells, and the whole J 2,940.  With the
+    # limit at exactly those 4,116 cells the kernel's entries, the stacked
+    # system of at most 7 * 49 rows over 12 columns and the epicentre's
+    # basis all fit: the group is answered, and the answer is the unpatched
+    # one.
+    g = _dense(1, 5, 7, 12)
+    jac = jacobi_matrix(g)
+    dim = jac.shape[1] - len(rref(jac, 5)[1])
+    assert jac.shape == (35, 84) and dim == 49
+    epicentre = epicentre_in_derived(g)
+    shapes = []
+    original = fplinalg.rref
+    monkeypatch.setattr(fplinalg, "rref", lambda a, p: shapes.append(np.shape(a)) or original(a, p))
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", dim * jac.shape[1])
+    assert epicentre_in_derived(g) == epicentre
+    assert (35, 84) in shapes  # J's residue: nothing peeled
 
 
 @pytest.mark.parametrize("seed,p,n,m", [(5, 3, 6, 6), (6, 5, 5, 4)])

@@ -319,6 +319,37 @@ def test_missing_input_file_is_an_input_error(tmp_path, capsys):
     assert "absent.grp" in _one_error_line(capsys.readouterr().err)
 
 
+def test_map_missing_an_image_names_the_generators_and_no_line(tmp_path, capsys):
+    # H_3 on two generators, a map that gives only the first image.
+    h = write(tmp_path, "h.grp", HEISENBERG_FILE)
+    gmap = write(tmp_path, "f.map", "# only x1\ngen 1 -> 1 0 | 0\n")
+    assert main(["verify-embed", h, h, "--map", gmap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == "error: missing images for generators [2]"
+
+
+def test_a_modulus_past_the_int64_bound_is_refused_before_the_primality_test(tmp_path, capsys):
+    # 2^127 - 1 is prime, and trial division up to its square root would
+    # not end; (p - 1)^2 + p >= 2^63 refuses it first.  Run apart, so that a
+    # regression fails on the timeout instead of hanging the suite.
+    path = write(tmp_path, "m127.grp", f"nilp2 v1\np {2**127 - 1}\nn 1\nm 0\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fplinalg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "nilp2.cli", "capable", path], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "not below 2^63" in _one_error_line(proc.stderr)
+    # Every command refuses a prime past the bound alike, and accepts 2^31 - 1.
+    for p, code in ((4294967311, 2), (2**31 - 1, 0)):
+        path = write(tmp_path, f"c{p}.grp", f"nilp2 v1\np {p}\nn 1\nm 0\n")
+        for command in ("inspect", "capable", "decompose"):
+            assert main([command, path]) == code
+            captured = capsys.readouterr()
+            if code:
+                assert captured.out == "" and "not below 2^63" in _one_error_line(captured.err)
+
+
 def test_residue_budget_is_an_engine_error(tmp_path, capsys, monkeypatch):
     # Extraspecial 3^7: J is too small to peel, and the 12 of its 20 rows
     # that have entries, over all 6 columns, form the residue.

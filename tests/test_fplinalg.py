@@ -684,22 +684,21 @@ def test_kernel_of_entries_spans_the_reference_kernel(p, shape):
     # Independent rows that span the reference kernel.
     r, pivots = rref(k, p)
     assert len(pivots) == len(ref) and r.tolist() == ref
-    if _peels(a):
-        # Entries sorted by column, each a residue in [1, p), no position twice.
-        assert isinstance(raw, KernelEntries) and raw.dim == len(ref)
-        assert (np.diff(raw.column) >= 0).all()
-        assert raw.value.dtype == np.int64 and ((raw.value >= 1) & (raw.value < p)).all()
-        assert np.unique(raw.column * max(raw.dim, 1) + raw.vector).size == raw.column.size
-    else:
-        # Nothing is peeled: the null rows of the reduced form, as before.
-        assert np.array_equal(raw, Subspace(p, cols, a).complement_projection())
+    # Entries sorted by column, each a residue in [1, p), no position twice.
+    assert isinstance(raw, KernelEntries) and raw.dim == len(ref)
+    assert (np.diff(raw.column) >= 0).all()
+    assert raw.value.dtype == np.int64 and ((raw.value >= 1) & (raw.value < p)).all()
+    assert np.unique(raw.column * max(raw.dim, 1) + raw.vector).size == raw.column.size
+    if not _peels(a):
+        # Nothing is peeled: the null rows of the reduced form, row for row.
+        assert np.array_equal(k, Subspace(p, cols, a).complement_projection())
 
 
 def test_kernel_of_entries_refuses_a_modulus_whose_sums_overflow():
     # ncols * (p - 1)^2 + p is the bound, as for Subspace: at 2^31 - 1 it
     # allows two columns and refuses three.
     one = (np.array([0]), np.array([0]), np.array([1]))
-    assert kernel_of_entries(*one, (1, 2), BIG_PRIME).tolist() == [[0, 1]]
+    assert densify(kernel_of_entries(*one, (1, 2), BIG_PRIME), 2).tolist() == [[0, 1]]
     with pytest.raises(ModulusTooLarge):
         kernel_of_entries(*one, (1, 3), BIG_PRIME)
 
@@ -729,7 +728,7 @@ def test_rows_without_entries_stay_out_of_the_residue(monkeypatch):
     a[random.Random(3).sample(range(220), 60)] = _random_matrix(random.Random(4), p, 60, 12, rank=9) % p
     a[a.any(axis=1)] = np.where(a[a.any(axis=1)] == 0, 1, a[a.any(axis=1)])
     monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 60 * 12)
-    assert isinstance(kernel_of_entries(*_entries(a), a.shape, p), np.ndarray)
+    assert isinstance(kernel_of_entries(*_entries(a), a.shape, p), KernelEntries)
     monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 60 * 12 - 1)
     with pytest.raises(ResidueTooLarge, match="dense residue of 60 x 12 = 720 cells"):
         kernel_of_entries(*_entries(a), a.shape, p)
@@ -737,19 +736,25 @@ def test_rows_without_entries_stay_out_of_the_residue(monkeypatch):
 
 def test_unpeeled_kernel_basis_is_checked_before_it_is_built(monkeypatch):
     # A wide dense matrix peels nothing.  Its residue is 10 x 200 = 2,000
-    # cells, and its null rows 190 x 200 = 38,000: refused after the
-    # residue's elimination and before the null rows are allocated.
-    p = 7
+    # cells; its basis is 190 vectors, one unit entry each plus the null
+    # rows' nonzeros on the 10 pivot columns: 2,058 entries at p = 101, far
+    # fewer than the 190 x 200 cells of the dense null rows.  The entries
+    # are refused after the residue's elimination and before they are
+    # gathered.
+    p = 101
     a = _random_matrix(random.Random(5), p, 10, 200)
     a[a == 0] = 1
-    null_rows = _spy(monkeypatch, "_null_rows")
-    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 190 * 200)
+    calls = _spy(monkeypatch, "rref")
     k = kernel_of_entries(*_entries(a), a.shape, p)
-    assert k.shape == (190, 200) and len(null_rows) == 1
-    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", 190 * 200 - 1)
-    with pytest.raises(ResidueTooLarge, match="kernel basis of 190 x 200 = 38000 cells"):
+    (residue,) = [args[0] for args in calls]
+    entries = k.column.size
+    assert residue.shape == (10, 200) and k.dim == 190 and 2000 < entries <= 190 * 11
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", entries)
+    assert np.array_equal(densify(kernel_of_entries(*_entries(a), a.shape, p), 200), densify(k, 200))
+    monkeypatch.setattr(fplinalg, "RESIDUE_CELL_LIMIT", entries - 1)
+    with pytest.raises(ResidueTooLarge, match=f"kernel basis entries of {entries} = {entries} cells"):
         kernel_of_entries(*_entries(a), a.shape, p)
-    assert len(null_rows) == 1
+    assert len(calls) == 3
 
 
 def test_entry_budget_is_checked_before_each_gather(monkeypatch):
