@@ -17,8 +17,10 @@ Group file:            Identification file:        Map file:
 
 from __future__ import annotations
 
-from .errors import BadIndex, BadMagic, EntryOutOfRange, ParseError
-from .group_core import GeneratorMap, GroupPresentation, hom_from_images
+import numpy as np
+
+from .errors import BadIndex, BadMagic, EntryOutOfRange, Nilp2Error, ParseError
+from .group_core import GeneratorMap, GroupPresentation, checked_sizes, hom_from_images
 from .products import Identification
 
 __all__ = [
@@ -59,22 +61,35 @@ def _int_token(token: str, line_no: int) -> int:
 def _entry_tokens(tokens, count, p, line_no):
     if len(tokens) != count:
         raise ParseError(line_no, f"expected {count} entries, got {len(tokens)}")
-    values = []
+    try:
+        values = tuple(map(int, tokens))
+        if not values or (min(values) >= 0 and max(values) < p):
+            return values
+    except ValueError:
+        pass
+    # Token by token, to name the first fault.
     for tok in tokens:
         e = _int_token(tok, line_no)
         if not (0 <= e < p):
             raise EntryOutOfRange(f"line {line_no}: entry {e} outside [0, {p})")
-        values.append(e)
-    return tuple(values)
 
 
 # -- group files -------------------------------------------------------------
 
 
+class _Decimal(dict):
+    """str(x) by x, each converted once: at rank 40 a written group holds
+    900k entries but only p distinct residues."""
+
+    def __missing__(self, x):
+        self[x] = text = str(x)
+        return text
+
+
 def format_group(group: GroupPresentation) -> str:
     lines = [GROUP_MAGIC, f"p {group.p}", f"n {group.n}", f"m {group.m}"]
-    for (j, i), vec in group.c_items:
-        lines.append("c " + " ".join(str(x) for x in (j, i) + vec))
+    decimal = _Decimal().__getitem__
+    lines += [f"c {j} {i} " + " ".join(map(decimal, vec)) for (j, i), vec in group.c_items]
     return "\n".join(lines) + "\n"
 
 
@@ -94,8 +109,18 @@ def parse_group_text(text: str) -> GroupPresentation:
         header[key] = _int_token(tokens[1], line_no)
         idx += 1
     p, n, m = header["p"], header["n"], header["m"]
+    body = lines[idx:]
+    # The lines are read only after the checks that bound the rows' cells.
+    # On any refusal the per-line code below reads them, names their first
+    # fault, and leaves the presentation to name the header's.
+    try:
+        pairs = _pairing_rows(body, *checked_sizes(p, n, m))
+    except Nilp2Error:
+        pairs = None
+    if pairs is not None:
+        return GroupPresentation(p, n, m, pairs)
     c = {}
-    for line_no, content in lines[idx:]:
+    for line_no, content in body:
         tokens = content.split()
         if tokens[0] != "c":
             raise ParseError(line_no, f"expected a 'c <j> <i> <entries>' line, got {content!r}")
@@ -111,6 +136,37 @@ def parse_group_text(text: str) -> GroupPresentation:
             raise ParseError(line_no, f"duplicate commutator line for ({j}, {i})")
         c[(j, i)] = _entry_tokens(tokens[3:], m, p, line_no)
     return GroupPresentation(p, n, m, c)
+
+
+def _pairing_rows(body, p, n, m):
+    """The pairing rows of the commutator lines ``body``, read in one pass,
+    or None for text the per-line code must read, to name its fault.
+    Every line must be 'c', two indices 1 <= i < j <= n and m entries in
+    [0, p), and no pair may repeat.  With m = 0 the lines hold no entries
+    and the cell check does not bound n, so the per-line code reads them."""
+    width = m + 3
+    contents = [content for _, content in body]
+    if m == 0 or not all(content.startswith("c ") for content in contents):
+        return None
+    tokens = " ".join(contents).split()
+    # Each line starts with the token "c"; with no other "c", those tokens
+    # sit at multiples of the width exactly when every line has m + 3.
+    if len(tokens) != width * len(body) or not tokens.count("c") == tokens[::width].count("c") == len(body):
+        return None
+    del tokens[::width]
+    try:
+        values = np.array(list(map(int, tokens)), dtype=np.int64).reshape(len(body), m + 2)
+    except (ValueError, OverflowError):
+        return None
+    j, i, entries = values[:, 0], values[:, 1], values[:, 2:]
+    if not ((1 <= i) & (i < j) & (j <= n)).all() or (entries.size and (entries.min() < 0 or entries.max() >= p)):
+        return None
+    rows = (j - 1) * (j - 2) // 2 + i - 1
+    if rows.size and np.bincount(rows).max() > 1:
+        return None
+    pairs = np.zeros((n * (n - 1) // 2, m), dtype=np.int64)
+    pairs[rows] = entries
+    return pairs
 
 
 # -- identification files ----------------------------------------------------

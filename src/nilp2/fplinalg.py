@@ -43,6 +43,21 @@ at most ``cols``, a product's result always fits the storage dtype.
 Inputs of 512 entries or more that already lie in [0, p) are not reduced
 again: a min and a max cost about a tenth of a reduction pass.
 
+Kernels.  ``kernel_basis`` finds the reduced echelon basis of the right
+null space with one elimination, of the matrix with its columns
+reversed.  Read back in the original column order, the null row of each
+free column f is 1 at f and nonzero elsewhere only at pivot columns after
+f, as a reduced row vanishes before its pivot; no other null row meets f.
+So these rows, by increasing f, are already reduced echelon.  On inputs
+above _PEEL_MIN_CELLS cells the row rule of ``kernel_of_entries`` comes
+first: a row with exactly one nonzero forces its column to zero in every
+kernel vector, and rounds repeat until no row has one nonzero left on the
+unforced columns.  Only the rows left with two or more are eliminated, on
+the unforced columns, and their basis is embedded at those columns.
+Zero columns inserted into a reduced echelon basis keep it reduced
+echelon, so the rule leaves the returned array unchanged; it only spares
+``rref`` the rows and columns it settles.
+
 Sparse kernels.  ``kernel_of_entries`` takes a matrix as its nonzero
 entries and peels it by structured Gaussian elimination before ``rref``
 sees the rest: a column with one entry pivots its row, and a row with one
@@ -87,25 +102,50 @@ __all__ = [
 
 
 def is_odd_prime(p) -> bool:
-    """True exactly for odd prime integers."""
+    """True exactly for odd prime integers.  Division by the primes up to
+    41 settles every q below 43^2.  Below 3,317,044,064,679,887,385,961,981
+    the strong test to those thirteen bases is exact (deterministic
+    Miller-Rabin; Sorenson and Webster, Math. Comp. 86, 2017); above it,
+    trial division goes on from 43."""
     try:
         q = int(p)
     except (TypeError, ValueError):
         return False
     if q != p or q < 3 or q % 2 == 0:
         return False
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for a in bases:
+        if q % a == 0:
+            return q == a
+    if q < 43 * 43:
+        return True
+    if q >= 3_317_044_064_679_887_385_961_981:
+        d = 43
+        while d * d <= q:
+            if q % d == 0:
+                return False
+            d += 2
+        return True
+    odd, twos = q - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in bases:
+        x = pow(a, odd, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def check_odd_prime(p) -> int:
     """p as an int.  Refused with ModulusTooLarge when (p - 1)^2 + p >= 2^63,
-    the bound of ``rref``, before the trial division, which takes up to
-    sqrt(p) / 2 steps; with NotOddPrime unless an odd prime."""
+    the bound of ``rref``, before the primality test; with NotOddPrime
+    unless an odd prime."""
     if isinstance(p, (int, np.integer)) and p > 2:
         check_int64((int(p) - 1) ** 2 + int(p), int(p), "arithmetic")
     if not is_odd_prime(p):
@@ -250,6 +290,13 @@ def _eliminate(r: np.ndarray, p: int) -> list:
     return pivots
 
 
+def _matrix(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 2:
+        raise AmbientMismatch("matrix data must be two-dimensional")
+    return a
+
+
 def rref(a: np.ndarray, p: int):
     """Reduced row echelon form of an integer matrix mod p.
 
@@ -258,9 +305,7 @@ def rref(a: np.ndarray, p: int):
     """
     p = int(p)
     check_int64((p - 1) ** 2 + p, p, "elimination")
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim != 2:
-        raise AmbientMismatch("matrix data must be two-dimensional")
+    a = _matrix(a)
     rows, cols = a.shape
     # Kept: on one row the general path takes 14-26 us, not 4-9; 163/464/92 calls per pass.
     if rows <= 1 or cols == 0:
@@ -313,14 +358,62 @@ def _null_rows(r: np.ndarray, pivots, cols: int, p: int) -> np.ndarray:
     return out
 
 
+# Up to this many cells a matrix is eliminated whole: its elimination costs
+# less than the fixed cost of the peeling rounds.
+_PEEL_MIN_CELLS = 1 << 10
+
+
+def _row_rule(a: np.ndarray):
+    """(forced, live) for a residue matrix: the columns that its rows of
+    one entry force to zero, in rounds until no row has one entry left
+    among the unforced columns, and the rows left with two or more.  After
+    the first count a round reads only the rows of one entry and the newly
+    forced columns, and no row or column comes twice, so the rounds
+    together read each entry at most three times."""
+    counts = np.count_nonzero(a, axis=1)
+    forced = np.zeros(a.shape[1], dtype=bool)
+    lone = np.flatnonzero(counts == 1)
+    while lone.size:
+        new = np.zeros_like(forced)
+        new[((a[lone] != 0) & ~forced).argmax(axis=1)] = True
+        forced |= new
+        counts -= np.count_nonzero(a[:, new], axis=1)
+        lone = np.flatnonzero(counts == 1)
+    return forced, counts > 1
+
+
 def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
-    """Reduced echelon basis (rows) of the right null space of a mod p."""
-    r, pivots = rref(a, p)
-    cols = r.shape[1]
-    # Kept: the general path adds 12-18 us to 121/215/18 full-rank calls per pass.
-    if len(pivots) == cols:
-        return np.zeros((0, cols), dtype=np.int64)
-    return rref(_null_rows(r, pivots, cols, p), p)[0]
+    """Reduced echelon basis (rows) of the right null space of a mod p,
+    a fresh C-ordered int64 array of shape (nullity, cols).
+
+    Above _PEEL_MIN_CELLS cells the row rule comes first (``_row_rule``):
+    the columns that rows of one entry force are zero in every kernel
+    vector, so only the rows left with two or more entries are eliminated,
+    on the unforced columns, and their null basis is embedded at those
+    columns.  Inserting zero columns keeps a basis reduced echelon, so the
+    array is the one that eliminating a whole returns.  The elimination
+    runs on the reversed columns, which makes the null rows reduced
+    echelon as they stand (module docstring).
+    """
+    p = int(p)
+    check_int64((p - 1) ** 2 + p, p, "elimination")
+    a = _matrix(a)
+    unforced = None
+    if a.size > _PEEL_MIN_CELLS:
+        a = _residues(a, p)
+        forced, live = _row_rule(a)
+        if forced.any():
+            unforced = ~forced
+            a = a[live][:, unforced]
+    # Eliminated with its columns reversed, a's null rows, put back in
+    # order, are already the reduced echelon basis (module docstring).
+    r, pivots = rref(a[:, ::-1], p)
+    null = _null_rows(r, pivots, r.shape[1], p)[::-1, ::-1]
+    if unforced is None:
+        return np.ascontiguousarray(null)
+    out = np.zeros((len(null), unforced.size), dtype=np.int64)
+    out[:, unforced] = null
+    return out
 
 
 # Cells of a dense array sized from the input, such as the residue that
@@ -335,11 +428,6 @@ def check_cells(shape, what: str) -> None:
     if cells > limit:
         dims = " x ".join(map(str, shape))
         raise ResidueTooLarge(f"{what} of {dims} = {cells} cells exceeds RESIDUE_CELL_LIMIT = {limit}")
-
-
-# Up to this many cells a matrix is eliminated whole: its elimination costs
-# less than the fixed cost of the peeling rounds.
-_PEEL_MIN_CELLS = 1 << 10
 
 
 class KernelEntries(NamedTuple):
@@ -508,14 +596,18 @@ class Subspace:
     __slots__ = ("p", "ambient", "basis", "pivots")
 
     def __init__(self, p, ambient, vectors=()):
+        self._check_space(p, ambient)
+        r, pivots = rref(_as_array(vectors, self.p, self.ambient), self.p)
+        self._hold(r[: len(pivots)].copy(), pivots)
+
+    def _check_space(self, p, ambient):
         self.p = check_odd_prime(p)
         self.ambient = int(ambient)
         if self.ambient < 0:
             raise AmbientMismatch("ambient dimension must be nonnegative")
         check_int64(self.ambient * (self.p - 1) ** 2 + self.p, self.p, "subspace arithmetic")
-        a = _as_array(vectors, self.p, self.ambient)
-        r, pivots = rref(a, self.p)
-        basis = r[: len(pivots)].copy()
+
+    def _hold(self, basis: np.ndarray, pivots):
         basis.flags.writeable = False
         self.basis = basis
         self.pivots = tuple(pivots)
@@ -526,7 +618,11 @@ class Subspace:
 
     @classmethod
     def full(cls, p, ambient):
-        return cls(p, ambient, np.eye(ambient, dtype=np.int64))
+        """F_p^ambient, whose reduced echelon basis is the identity."""
+        space = cls.__new__(cls)
+        space._check_space(p, ambient)
+        space._hold(np.eye(space.ambient, dtype=np.int64), range(space.ambient))
+        return space
 
     @property
     def dim(self) -> int:

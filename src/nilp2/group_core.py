@@ -8,7 +8,11 @@ F_p^m, and c(j, i) in F_p^m the coordinates of [x_j, x_i] for
 two tables are views of read-only arrays, which numpy will not make
 writeable again.  Tables of more than RESIDUE_CELL_LIMIT cells,
 (n, n, m) or ``center``'s n x n, are refused with ResidueTooLarge before
-allocation.  Every element has a unique normal form
+allocation.  The rows must span F_p^m: their rank is m less the dimension
+of their null space, which ``kernel_basis`` finds, so the span check, like
+``center`` and ``is_monomorphism``, settles rows of one entry by the row
+rule, as on the constructions' outputs, where most rows are units.  Every
+element has a unique normal form
 
     x_1^{v_1} ... x_n^{v_n} * z^w,    v in F_p^n, w in F_p^m,
 
@@ -62,7 +66,7 @@ from .fplinalg import (
     check_odd_prime,
     echelon_bases,
     kernel_basis,
-    rref,
+    rref,  # unused here; perfbench's tracer test wraps it in this module
     solve_matrix,
 )
 
@@ -75,6 +79,7 @@ __all__ = [
     "MonoResult",
     "Subgroup",
     "center",
+    "checked_sizes",
     "commutator",
     "elementary_abelian",
     "enumerate_subgroups",
@@ -92,6 +97,19 @@ __all__ = [
 ORDER_CAP = 243
 
 
+def checked_sizes(p, n, m) -> tuple:
+    """(p, n, m) as ints, after the checks a presentation runs before it
+    allocates its pairing rows: p an odd prime within the int64 bounds,
+    counts nonnegative, and tables within RESIDUE_CELL_LIMIT."""
+    p = check_odd_prime(p)
+    n, m = int(n), int(m)
+    if n < 0 or m < 0:
+        raise Nilp2Error("generator and commutator counts must be nonnegative")
+    check_int64(n * (n - 1) * (p - 1) ** 3, p, f"collection with {n} generators")
+    check_cells((n, n, m), "pairing table")
+    return p, n, m
+
+
 class GroupPresentation:
     """Validated presentation (p, n, m, c) of a class-<=2 exponent-p group.
 
@@ -105,12 +123,7 @@ class GroupPresentation:
     __slots__ = ("p", "n", "m", "pairs", "label", "_c_items", "_kappa", "_delta", "_center", "_hash")
 
     def __init__(self, p, n, m, c=None, label=""):
-        p = check_odd_prime(p)
-        n, m = int(n), int(m)
-        if n < 0 or m < 0:
-            raise Nilp2Error("generator and commutator counts must be nonnegative")
-        check_int64(n * (n - 1) * (p - 1) ** 3, p, f"collection with {n} generators")
-        check_cells((n, n, m), "pairing table")
+        p, n, m = checked_sizes(p, n, m)
         shape = (n * (n - 1) // 2, m)
         if isinstance(c, np.ndarray):
             pairs = np.asarray(c, dtype=np.int64)
@@ -140,9 +153,10 @@ class GroupPresentation:
                     raise EntryOutOfRange(f"entry {e} for commutator ({j}, {i}) is outside [0, {p})")
                 pairs[(j - 1) * (j - 2) // 2 + i - 1] = entries
         if m > 0:
-            _, pivots = rref(pairs[pairs.any(axis=1)], p)
-            if len(pivots) != m:
-                raise SpanDeficit(len(pivots), m)
+            # The rank is m less the dimension of the rows' null space.
+            rank = m - len(kernel_basis(pairs[pairs.any(axis=1)], p))
+            if rank != m:
+                raise SpanDeficit(rank, m)
         pairs.flags.writeable = False
         # The slots in order; the caches, from _c_items on, start empty.
         for name, value in itertools.zip_longest(self.__slots__, (p, n, m, pairs.view(), str(label))):

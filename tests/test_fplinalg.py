@@ -1,7 +1,9 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilp2 import fplinalg
 from nilp2.errors import AmbientMismatch, ModulusTooLarge, NotOddPrime, ResidueTooLarge
@@ -26,6 +28,27 @@ def test_odd_prime_detection():
     assert not is_odd_prime(2)
     assert not is_odd_prime(9)
     assert is_odd_prime(65521)
+
+
+def _trial_division(n):
+    return n >= 3 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
+def test_odd_prime_detection_agrees_with_trial_division():
+    assert [n for n in range(-3, 10**5) if is_odd_prime(n) != _trial_division(n)] == []
+
+
+def test_odd_prime_detection_rejects_strong_pseudoprimes():
+    # Strong pseudoprimes to the bases 2..7, 2..17 and 2..37, all composite;
+    # the last needs the thirteenth base, 41.
+    for n in (3_215_031_751, 341_550_071_728_321, 318_665_857_834_031_151_167_461):
+        assert not is_odd_prime(n)
+    assert 3_215_031_751 == 151 * 751 * 28351
+    assert is_odd_prime(2**31 - 1) and is_odd_prime(3_037_000_493)
+    assert is_odd_prime(2**61 - 1) and not is_odd_prime((2**31 - 1) * 1_000_000_007)
+    # Above the Miller-Rabin bound trial division answers; an even number
+    # or a small factor answers at once.
+    assert not is_odd_prime(2**89) and not is_odd_prime(3 * (2**89 - 1))
 
 
 def test_matrix_rejects_bad_modulus():
@@ -102,6 +125,24 @@ def test_rank_nullity_random():
 
 def _sum(u, v):
     return Subspace(u.p, u.ambient, np.concatenate([u.basis, v.basis]))
+
+
+@pytest.mark.parametrize("p, dims", [(3, range(6)), (7, range(6)), (2**31 - 1, range(3))])
+def test_full_subspace_is_the_reduced_identity(p, dims):
+    for k in dims:
+        full = Subspace.full(p, k)
+        assert full == Subspace(p, k, np.eye(k, dtype=np.int64))
+        assert full.pivots == tuple(range(k)) and full.basis.dtype == np.int64
+        assert not full.basis.flags.writeable
+        with pytest.raises(ValueError):
+            full.basis[...] = 0
+    with pytest.raises(NotOddPrime):
+        Subspace.full(9, 2)
+    with pytest.raises(AmbientMismatch):
+        Subspace.full(3, -1)
+    # At 2^31 - 1 the sums of three products reach 2^63.
+    with pytest.raises(ModulusTooLarge):
+        Subspace.full(2**31 - 1, 3)
 
 
 def test_subspace_idempotent_ops():
@@ -396,6 +437,69 @@ def test_rref_and_kernel_match_reference(p, shape):
     product = np.array(a, dtype=object) @ np.array(k, dtype=object).T
     assert _is_zero_mod(product, p)
     assert len(pivots) + k.shape[0] == cols
+
+
+@st.composite
+def unit_row_matrices(draw):
+    """(a, p): a random residue matrix with rows of one entry planted among
+    its rows, then the rows shuffled.  The plants: a forcing chain, whose
+    forced column leaves the next row with one entry; several rows of one
+    entry in one column; zero rows; and at times a row of one entry in
+    every column.  Shapes fall on both sides of _PEEL_MIN_CELLS."""
+    p = draw(st.sampled_from([3, 101, 2**31 - 1]))
+    rows, cols = draw(st.integers(0, 50)), draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def nonzero(size=None):
+        return rng.integers(1, p, size)
+
+    a = np.where(rng.random((rows, cols)) < density, nonzero((rows, cols)), 0)
+    order = rng.permutation(cols)
+    planted = []
+    for k in range(draw(st.integers(0, cols))):
+        row = np.zeros(cols, dtype=np.int64)
+        row[order[max(k - 1, 0)]], row[order[k]] = nonzero(), nonzero()
+        planted.append(row)
+    for _ in range(draw(st.integers(0, 4))):
+        row = np.zeros(cols, dtype=np.int64)
+        row[order[-1]] = nonzero()
+        planted.append(row)
+    planted += [np.zeros(cols, dtype=np.int64)] * draw(st.integers(0, 5))
+    if draw(st.integers(0, 4)) == 0:
+        planted += list(np.diag(nonzero(cols)))
+    a = np.concatenate([a, np.array(planted, dtype=np.int64).reshape(-1, cols)])
+    return a[rng.permutation(len(a))], p
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=unit_row_matrices())
+def test_kernel_basis_with_unit_rows_matches_reference(case):
+    a, p = case
+    ref = reference_kernel(a.tolist(), p, a.shape[1])
+    k = kernel_basis(a, p)
+    assert k.dtype == np.int64 and k.flags.c_contiguous
+    assert k.shape == (len(ref), a.shape[1]) and k.tolist() == ref
+
+
+def test_kernel_basis_eliminates_only_the_rows_left_by_the_row_rule(monkeypatch):
+    # As for kernel_of_entries: the forcing chain forces x_0 .. x_40 one
+    # round per link, and rref sees the block's 8 rows over the 5 columns
+    # beside x_40, once; kernel_basis does not call itself.
+    p = 7
+    a = np.mod(_forcing_chain(random.Random(9), p, 40), p)
+    assert a.size > fplinalg._PEEL_MIN_CELLS
+    calls = _spy(monkeypatch, "rref")
+    outer = _spy(monkeypatch, "kernel_basis")
+    k = fplinalg.kernel_basis(a, p)
+    assert [np.shape(args[0]) for args in calls] == [(8, 5)]
+    assert len(outer) == 1
+    assert k.tolist() == reference_kernel(a.tolist(), p, a.shape[1])
+    # Below the threshold the matrix is eliminated whole.
+    small = a[:20, :20]
+    calls.clear()
+    assert fplinalg.kernel_basis(small, p).tolist() == reference_kernel(small.tolist(), p, 20)
+    assert [np.shape(args[0]) for args in calls][0] == (20, 20)
 
 
 @pytest.mark.parametrize("shape", ["rows_63", "rows_65_sparse", "tall_low_rank", "wide_full_row_rank"])

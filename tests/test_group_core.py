@@ -66,6 +66,33 @@ def test_validate_span_deficit():
     assert exc.value.expected_dim == 2
 
 
+@pytest.mark.parametrize("n, m, units, seed", [(12, 20, 15, 4), (12, 20, 20, 5), (5, 6, 2, 6), (30, 40, 37, 7)])
+def test_span_deficit_reads_the_rank_through_unit_rows(n, m, units, seed):
+    # ``units`` commutators are unit vectors; twelve more mix every
+    # coordinate but add at most rank 3 on the m - units others.  The
+    # matrices of 66 x 20 and 435 x 40 lie above _PEEL_MIN_CELLS, so the row
+    # rule forces the unit columns before the elimination; 10 x 6 lies
+    # below it.
+    p = 3
+    rng = np.random.default_rng(seed)
+    pairs = np.zeros((n * (n - 1) // 2, m), dtype=np.int64)
+    slots = rng.permutation(len(pairs))
+    pairs[slots[:units], rng.permutation(m)[:units]] = rng.integers(1, p, units)
+    free = np.setdiff1d(np.arange(m), pairs[slots[:units]].nonzero()[1])
+    mixed = slots[units : units + 12]
+    pairs[mixed] = rng.integers(0, p, (len(mixed), m))
+    pairs[np.ix_(mixed, free)] = rng.integers(0, p, (len(mixed), 3)) @ rng.integers(0, p, (3, len(free))) % p
+    rank = len(fplinalg.rref(pairs, p)[1])
+    if rank == m:
+        assert GroupPresentation(p, n, m, pairs).m == m
+        return
+    assert rank >= units
+    for c in (pairs, {(int(j) + 1, int(i) + 1): tuple(row) for j, i, row in zip(*np.tril_indices(n, -1), pairs.tolist())}):
+        with pytest.raises(SpanDeficit) as exc:
+            GroupPresentation(p, n, m, c)
+        assert (exc.value.actual_rank, exc.value.expected_dim) == (rank, m)
+
+
 def test_validate_rejects_even_prime():
     with pytest.raises(NotOddPrime):
         GroupPresentation(2, 2, 1, {(2, 1): (1,)})
