@@ -120,12 +120,7 @@ def is_odd_prime(p) -> bool:
     if q < 43 * 43:
         return True
     if q >= 3_317_044_064_679_887_385_961_981:
-        d = 43
-        while d * d <= q:
-            if q % d == 0:
-                return False
-            d += 2
-        return True
+        return all(q % d for d in range(43, math.isqrt(q) + 1, 2))
     odd, twos = q - 1, 0
     while odd % 2 == 0:
         odd, twos = odd // 2, twos + 1
@@ -384,17 +379,9 @@ def _row_rule(a: np.ndarray):
 
 def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     """Reduced echelon basis (rows) of the right null space of a mod p,
-    a fresh C-ordered int64 array of shape (nullity, cols).
-
-    Above _PEEL_MIN_CELLS cells the row rule comes first (``_row_rule``):
-    the columns that rows of one entry force are zero in every kernel
-    vector, so only the rows left with two or more entries are eliminated,
-    on the unforced columns, and their null basis is embedded at those
-    columns.  Inserting zero columns keeps a basis reduced echelon, so the
-    array is the one that eliminating a whole returns.  The elimination
-    runs on the reversed columns, which makes the null rows reduced
-    echelon as they stand (module docstring).
-    """
+    a fresh C-ordered int64 array of shape (nullity, cols).  One
+    elimination, on the reversed columns, after the row rule above
+    _PEEL_MIN_CELLS cells (module docstring)."""
     p = int(p)
     check_int64((p - 1) ** 2 + p, p, "elimination")
     a = _matrix(a)
@@ -405,8 +392,6 @@ def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
         if forced.any():
             unforced = ~forced
             a = a[live][:, unforced]
-    # Eliminated with its columns reversed, a's null rows, put back in
-    # order, are already the reduced echelon basis (module docstring).
     r, pivots = rref(a[:, ::-1], p)
     null = _null_rows(r, pivots, r.shape[1], p)[::-1, ::-1]
     if unforced is None:

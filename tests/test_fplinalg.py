@@ -46,9 +46,10 @@ def test_odd_prime_detection_rejects_strong_pseudoprimes():
     assert 3_215_031_751 == 151 * 751 * 28351
     assert is_odd_prime(2**31 - 1) and is_odd_prime(3_037_000_493)
     assert is_odd_prime(2**61 - 1) and not is_odd_prime((2**31 - 1) * 1_000_000_007)
-    # Above the Miller-Rabin bound trial division answers; an even number
-    # or a small factor answers at once.
+    # Above the Miller-Rabin bound trial division answers: at once for a
+    # factor up to 41, and from 43 on by division (2^89 - 1 is prime).
     assert not is_odd_prime(2**89) and not is_odd_prime(3 * (2**89 - 1))
+    assert not is_odd_prime(43 * (2**89 - 1)) and not is_odd_prime(47 * (2**89 - 1))
 
 
 def test_matrix_rejects_bad_modulus():
