@@ -79,7 +79,9 @@ def _entry_tokens(tokens, count, p, line_no):
 
 class _Decimal(dict):
     """str(x) by x, each converted once: at rank 40 a written group holds
-    900k entries but only p distinct residues."""
+    900k entries but only p distinct residues.  A bound __getitem__ is
+    called without an argument tuple; functools.cache(str) took 37 ms
+    for the rank-40 lines where this takes 20 ms."""
 
     def __missing__(self, x):
         self[x] = text = str(x)

@@ -48,15 +48,15 @@ null space with one elimination, of the matrix with its columns
 reversed.  Read back in the original column order, the null row of each
 free column f is 1 at f and nonzero elsewhere only at pivot columns after
 f, as a reduced row vanishes before its pivot; no other null row meets f.
-So these rows, by increasing f, are already reduced echelon.  On inputs
-above _PEEL_MIN_CELLS cells the row rule of ``kernel_of_entries`` comes
-first: a row with exactly one nonzero forces its column to zero in every
-kernel vector, and rounds repeat until no row has one nonzero left on the
-unforced columns.  Only the rows left with two or more are eliminated, on
-the unforced columns, and their basis is embedded at those columns.
-Zero columns inserted into a reduced echelon basis keep it reduced
-echelon, so the rule leaves the returned array unchanged; it only spares
-``rref`` the rows and columns it settles.
+So these rows, by increasing f, are already reduced echelon.  The row
+rule of ``kernel_of_entries`` comes first, at every size: a row with
+exactly one nonzero forces its column to zero in every kernel vector, and
+rounds repeat until no row has one nonzero left on the unforced columns.
+Only the rows left with two or more are eliminated, on the unforced
+columns, and their basis is embedded at those columns.  Zero columns
+inserted into a reduced echelon basis keep it reduced echelon, so the
+rule leaves the returned array unchanged; it only spares ``rref`` the
+rows and columns it settles.
 
 Sparse kernels.  ``kernel_of_entries`` takes a matrix as its nonzero
 entries and peels it by structured Gaussian elimination before ``rref``
@@ -353,45 +353,45 @@ def _null_rows(r: np.ndarray, pivots, cols: int, p: int) -> np.ndarray:
     return out
 
 
-# Up to this many cells a matrix is eliminated whole: its elimination costs
-# less than the fixed cost of the peeling rounds.
+# Up to this many cells kernel_of_entries eliminates a matrix whole: its
+# elimination costs less than the fixed cost of the peeling rounds, some 30
+# numpy calls each.
 _PEEL_MIN_CELLS = 1 << 10
 
 
 def _row_rule(a: np.ndarray):
     """(forced, live) for a residue matrix: the columns that its rows of
     one entry force to zero, in rounds until no row has one entry left
-    among the unforced columns, and the rows left with two or more.  After
-    the first count a round reads only the rows of one entry and the newly
-    forced columns, and no row or column comes twice, so the rounds
-    together read each entry at most three times."""
-    counts = np.count_nonzero(a, axis=1)
+    among the unforced columns, and the rows left with two or more.  The
+    rounds work on a boolean copy whose forced columns are cleared: a round
+    reads the rows of one entry and the newly forced columns, and no row
+    or column comes twice."""
+    nonzero = a != 0
+    counts = nonzero.sum(axis=1)
     forced = np.zeros(a.shape[1], dtype=bool)
-    lone = np.flatnonzero(counts == 1)
-    while lone.size:
-        new = np.zeros_like(forced)
-        new[((a[lone] != 0) & ~forced).argmax(axis=1)] = True
+    lone = counts == 1
+    while lone.any():
+        new = nonzero[lone].any(axis=0)
+        counts -= nonzero[:, new].sum(axis=1)
+        nonzero[:, new] = False
         forced |= new
-        counts -= np.count_nonzero(a[:, new], axis=1)
-        lone = np.flatnonzero(counts == 1)
+        lone = counts == 1
     return forced, counts > 1
 
 
 def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     """Reduced echelon basis (rows) of the right null space of a mod p,
     a fresh C-ordered int64 array of shape (nullity, cols).  One
-    elimination, on the reversed columns, after the row rule above
-    _PEEL_MIN_CELLS cells (module docstring)."""
+    elimination, on the reversed columns, after the row rule (module
+    docstring)."""
     p = int(p)
     check_int64((p - 1) ** 2 + p, p, "elimination")
-    a = _matrix(a)
+    a = _residues(_matrix(a), p)
     unforced = None
-    if a.size > _PEEL_MIN_CELLS:
-        a = _residues(a, p)
-        forced, live = _row_rule(a)
-        if forced.any():
-            unforced = ~forced
-            a = a[live][:, unforced]
+    forced, live = _row_rule(a)
+    if forced.any():
+        unforced = ~forced
+        a = a[np.ix_(live, unforced)]
     r, pivots = rref(a[:, ::-1], p)
     null = _null_rows(r, pivots, r.shape[1], p)[::-1, ::-1]
     if unforced is None:

@@ -446,7 +446,7 @@ def unit_row_matrices(draw):
     its rows, then the rows shuffled.  The plants: a forcing chain, whose
     forced column leaves the next row with one entry; several rows of one
     entry in one column; zero rows; and at times a row of one entry in
-    every column.  Shapes fall on both sides of _PEEL_MIN_CELLS."""
+    every column."""
     p = draw(st.sampled_from([3, 101, 2**31 - 1]))
     rows, cols = draw(st.integers(0, 50)), draw(st.integers(1, 40))
     density = draw(st.sampled_from([0.05, 0.3, 1.0]))
@@ -489,18 +489,12 @@ def test_kernel_basis_eliminates_only_the_rows_left_by_the_row_rule(monkeypatch)
     # beside x_40, once; kernel_basis does not call itself.
     p = 7
     a = np.mod(_forcing_chain(random.Random(9), p, 40), p)
-    assert a.size > fplinalg._PEEL_MIN_CELLS
     calls = _spy(monkeypatch, "rref")
     outer = _spy(monkeypatch, "kernel_basis")
     k = fplinalg.kernel_basis(a, p)
     assert [np.shape(args[0]) for args in calls] == [(8, 5)]
     assert len(outer) == 1
     assert k.tolist() == reference_kernel(a.tolist(), p, a.shape[1])
-    # Below the threshold the matrix is eliminated whole.
-    small = a[:20, :20]
-    calls.clear()
-    assert fplinalg.kernel_basis(small, p).tolist() == reference_kernel(small.tolist(), p, 20)
-    assert [np.shape(args[0]) for args in calls][0] == (20, 20)
 
 
 @pytest.mark.parametrize("shape", ["rows_63", "rows_65_sparse", "tall_low_rank", "wide_full_row_rank"])

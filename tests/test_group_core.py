@@ -69,10 +69,8 @@ def test_validate_span_deficit():
 @pytest.mark.parametrize("n, m, units, seed", [(12, 20, 15, 4), (12, 20, 20, 5), (5, 6, 2, 6), (30, 40, 37, 7)])
 def test_span_deficit_reads_the_rank_through_unit_rows(n, m, units, seed):
     # ``units`` commutators are unit vectors; twelve more mix every
-    # coordinate but add at most rank 3 on the m - units others.  The
-    # matrices of 66 x 20 and 435 x 40 lie above _PEEL_MIN_CELLS, so the row
-    # rule forces the unit columns before the elimination; 10 x 6 lies
-    # below it.
+    # coordinate but add at most rank 3 on the m - units others.  The row
+    # rule forces the unit columns before the elimination.
     p = 3
     rng = np.random.default_rng(seed)
     pairs = np.zeros((n * (n - 1) // 2, m), dtype=np.int64)
